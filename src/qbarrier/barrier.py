@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleError
-from .units import WaveNumbers, wave_numbers
+from .units import wave_numbers
 
 # imaginary part of kappa*d beyond which sin/cos are evaluated
 # asymptotically (they overflow near 700)

@@ -6,7 +6,7 @@ sweeps with their preset grids; ``transmission``, ``traversal``,
 parameters.  Output is CSV or JSON to stdout or a file.
 
 Exit codes: 0 clean, 2 bad usage, 3 numerical failure (partial output
-is still written with failed cells as nan).
+is still written with failed cells as nan, and stderr gets their count).
 """
 
 from __future__ import annotations
@@ -47,6 +47,17 @@ def _tol(text: str) -> float:
     return val
 
 
+def _threads(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if val < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count must be at least 1, got {text!r}")
+    return val
+
+
 def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
     sub.add_argument("--d-over-lambda0", type=float, default=5.0,
                      metavar="D", help="barrier width in wavelengths "
@@ -66,7 +77,7 @@ def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the generation timestamp for "
                      "byte-reproducible output")
-    sub.add_argument("--threads", type=int, default=1, metavar="N")
+    sub.add_argument("--threads", type=_threads, default=1, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +181,11 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 3 if result.failures else 0
+    if result.failures:
+        print(f"qbarrier: {result.failures} cell(s) failed and are "
+              "written as nan", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .barrier import amplitude_w, amplitude_w_complex_height
 from .errors import DegenerateKernelError, DomainError, NonConvergenceError
@@ -215,8 +214,6 @@ def amplitude_w_D_height_sweep(
     width: float,
     kernel: DampingKernel,
     omega_grid: np.ndarray,
-    *,
-    resid_halfwidth: float = 160.0,
 ) -> np.ndarray:
     """Suppressed amplitude with the barrier height shifted by
     ``-hbar * omega`` for every ``omega`` on a uniform grid.
@@ -225,7 +222,10 @@ def amplitude_w_D_height_sweep(
     the ladder part is a handful of closed evaluations per grid point and
     the residual part becomes one discrete convolution of bare-amplitude
     samples against the residual spectrum (both on the same step, done
-    with an FFT).  In the clean limit it degenerates to bare samples.
+    with an FFT).  The residual spectrum is kept out to the half-width
+    where its ``mismatch / omega^5`` envelope leaves a tail below 1e-10,
+    clamped to [40, 200].  In the clean limit the sweep degenerates to
+    bare samples.
     """
     om = np.asarray(omega_grid, dtype=float)
     if om.ndim != 1 or om.size < 2:
@@ -247,11 +247,20 @@ def amplitude_w_D_height_sweep(
     for aj, sj in zip(ladder.weights, ladder.rates):
         out += aj * shifted(om + 1j * sj)
 
+    resid_halfwidth = (max(ladder.mismatch, 1e-4)
+                       / (4.0 * math.pi * 1e-10)) ** 0.25
+    resid_halfwidth = float(min(max(resid_halfwidth, 40.0), 200.0))
     n_half = int(math.ceil(resid_halfwidth / step))
     u = step * np.arange(-n_half, n_half + 1)
     g_res = residual_spectrum(kernel, ladder, u)
     x_ext = om[0] + step * np.arange(-n_half, om.size + n_half)
     w_ext = shifted(x_ext)
-    # correlation against the residual spectrum, out[i] = sum_m w(om_i + u_m) g(u_m)
-    out += fftconvolve(w_ext, g_res[::-1], mode="valid") * (step / (2.0 * math.pi))
+    # correlation against the residual spectrum, out[i] = sum_m w(om_i + u_m) g(u_m),
+    # as the "valid" part of a full linear convolution done by FFT; scipy.fft
+    # is imported here so that paths without a height sweep never load it
+    from scipy.fft import next_fast_len
+
+    n_fft = next_fast_len(w_ext.size + g_res.size - 1)
+    full = np.fft.ifft(np.fft.fft(w_ext, n_fft) * np.fft.fft(g_res[::-1], n_fft))
+    out += full[g_res.size - 1:w_ext.size] * (step / (2.0 * math.pi))
     return out

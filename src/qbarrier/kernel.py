@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
 from .errors import DegenerateKernelError, DomainError, PoleError
@@ -164,20 +163,6 @@ class DampingKernel:
         gro = MASS * sig * np.exp((self.gamma - sig) * t) / den
         return CLCoefficients(sym, dec, gro)
 
-    def product_rule_deviation(self, t) -> float:
-        """Worst relative deviation of ``f(t) f(t')`` from ``f(t + t')``
-        over all pairs drawn from the grid ``t``.
-
-        The factorized form is an approximation, and this measures how
-        rough it is; nothing in the package asserts it to be small.
-        """
-        t = np.asarray(t, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise DomainError("need a 1-d grid of at least two times")
-        fv = np.atleast_1d(self.f(t))
-        joint = np.atleast_2d(self.f(t[:, None] + t[None, :]))
-        return float(np.max(np.abs(np.outer(fv, fv) - joint) / joint))
-
     def peak_time(self) -> float:
         """Location of the (tiny) maximum of f; 0.0 in the clean limit.
 
@@ -187,6 +172,8 @@ class DampingKernel:
         """
         if self.gamma == 0.0:
             return 0.0
+        from scipy.optimize import brentq
+
         sig = self.sigma
 
         def excess(t: float) -> float:
@@ -307,8 +294,13 @@ class DampingKernel:
         for i0 in range(0, flat.size, chunk):
             w = flat[i0:i0 + chunk]
             a = s0 + 1j * w
-            block = (amps[None, :]
-                     * (rates[None, :] + 1j * w[:, None]) ** -1.5).sum(axis=1)
+            # one work array per chunk, updated in place; with several
+            # temporaries this large, malloc hands the memory back to the
+            # system after every call and the next call faults it in again
+            block = np.add(rates, 1j * w[:, None])
+            np.power(block, -1.5, out=block)
+            np.multiply(amps, block, out=block)
+            block = block.sum(axis=1)
             am = a + b * m
             hm = cm * am ** -1.5
             hpm = hm * (psi_m - 1.5 * b / am)

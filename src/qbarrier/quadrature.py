@@ -72,15 +72,6 @@ class QuadratureResult:
     tail_bound: float = 0.0
 
 
-def oscillatory_panel_hint(phase_rate: float) -> float:
-    """Largest panel width that keeps a phase ``exp(i * phase_rate * x)``
-    below a quarter period per panel."""
-    r = abs(phase_rate)
-    if r == 0.0:
-        return math.inf
-    return 0.5 * math.pi / r
-
-
 def _eval_panel(fn, lo: float, hi: float):
     half = 0.5 * (hi - lo)
     center = 0.5 * (lo + hi)

@@ -23,13 +23,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .barrier import amplitude_w, transmission_prob
+from .barrier import transmission_prob
 from .damped import amplitude_w_D
 from .errors import DomainError, QBarrierError
 from .kernel import DampingKernel
-from .traversal import (CumulativeConfig, SpectralGrid, cumulative_amplitude,
-                        distribution_F, distribution_F_D,
-                        mean_traversal_closed, mean_traversal_derivative)
+from .traversal import (SpectralGrid, cumulative_amplitude, distribution_F,
+                        distribution_F_D, mean_traversal_closed,
+                        mean_traversal_derivative)
 from .units import classical_crossing_time, resonance_energies
 
 _SCHEMA = 1

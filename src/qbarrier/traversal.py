@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import sici
 
 from .barrier import amplitude_w, amplitude_w_complex_height
-from .damped import amplitude_w_D_height_sweep, subtraction_ladder
+from .damped import amplitude_w_D_height_sweep
 from .errors import DegenerateSuppressionError, DomainError, WindowError
 from .kernel import DampingKernel
 from .units import wave_numbers
@@ -230,12 +229,10 @@ class CumulativeConfig:
     """Spectral grid for the cumulative amplitude.
 
     ``max_step`` is refined automatically when the kernel's slowest decay
-    rate needs finer sampling; ``resid_halfwidth`` (None = automatic)
-    bounds the support of the residual spectrum in the convolution."""
+    rate needs finer sampling."""
 
     halfwidth: float = 409.6
     max_step: float = 0.0125
-    resid_halfwidth: Optional[float] = None
 
     def __post_init__(self):
         if not (self.halfwidth > 0.0 and self.max_step > 0.0):
@@ -279,16 +276,7 @@ def cumulative_amplitude(
     w_half = n_half * step
     grid = step * np.arange(-n_half, n_half + 1)
 
-    resid_hw = config.resid_halfwidth
-    if resid_hw is None and kernel.gamma > 0.0:
-        mism = subtraction_ladder(kernel).mismatch
-        resid_hw = (max(mism, 1e-4) / (4.0 * math.pi * 1e-10)) ** 0.25
-        resid_hw = float(min(max(resid_hw, 40.0), 200.0))
-    elif resid_hw is None:
-        resid_hw = 160.0
-
-    heights = amplitude_w_D_height_sweep(
-        epsilon, width, kernel, grid, resid_halfwidth=resid_hw)
+    heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid)
     h0 = complex(heights[n_half])
     if abs(h0) < 1e-250:
         raise DegenerateSuppressionError(

@@ -89,17 +89,6 @@ def resonance_energies(width: float, count: int) -> np.ndarray:
     return 1.0 + (n * math.pi / width) ** 2
 
 
-def omega_to_height_shift(omega_star, width):
-    """Energy ``hbar * omega / V0`` matching a rate ``omega_star = omega * tau_star``.
-
-    Accepts scalars or arrays; complex rates are allowed (used for
-    evaluations at complex barrier height).
-    """
-    if not width > 0.0:
-        raise DomainError(f"width must be positive, got {width!r}")
-    return 2.0 * np.asarray(omega_star) / width
-
-
 @dataclass(frozen=True)
 class BarrierSpec:
     """Rectangular barrier of reduced width ``width = d / lambda0``.

@@ -1,12 +1,17 @@
 """Sweep runners, serialization, and the command line contract:
-schemas, exit codes, and byte-for-byte determinism."""
+schemas, exit codes, byte-for-byte determinism, and a lean import path."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbarrier
 from qbarrier.barrier import transmission_prob
 from qbarrier.cli import main
 from qbarrier.sweep import (format_csv, format_json, gamma_label,
@@ -156,6 +161,39 @@ def test_cli_rejects_bad_tol(capsys):
         main(["transmission", "--epsilon-range", "1:2:5", "--tol", "0.5"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_bad_threads(capsys):
+    for bad in ("0", "-2"):
+        with pytest.raises(SystemExit) as info:
+            main(["transmission", "--epsilon-range", "1:2:5",
+                  "--threads", bad])
+        assert info.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_reports_failed_cells_on_stderr(capsys):
+    # a zero-width barrier passes argument parsing and fails every cell,
+    # which the table shows only as nan; stderr must say so
+    code = main(["figure4", "--d-over-lambda0", "0", "--no-timestamp"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "# failures=256" in captured.out
+    assert captured.err == ("qbarrier: 256 cell(s) failed and are "
+                            "written as nan\n")
+
+
+def test_cli_import_path_is_lean():
+    # scipy.signal and scipy.optimize each cost about a second to import
+    # and serve no CLI path; a fresh interpreter shows what the import pulls in
+    probe = ("import qbarrier.cli, sys; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') "
+             "if m in sys.modules))")
+    # probe the same copy of the package this suite imported
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_numerical_failure_exit_code(capsys):

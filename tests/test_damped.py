@@ -2,10 +2,13 @@
 spectral evaluation against frozen references, and continuity in the
 weak-damping limit."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qbarrier.barrier import amplitude_w, transmission_prob
+from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
+                              transmission_prob)
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
                              residual_spectrum, subtraction_ladder,
                              transmission_prob_D)
@@ -131,7 +134,6 @@ def test_height_sweep_clean_limit():
     om = np.linspace(-3.0, 3.0, 31)
     clean = DampingKernel(0.0, 100.0)
     got = amplitude_w_D_height_sweep(1.3, 5.0, clean, om)
-    from qbarrier.barrier import amplitude_w_complex_height
     want = amplitude_w_complex_height(1.3, 5.0, 1.0 - (2.0 / 5.0) * om)
     np.testing.assert_allclose(got, want, rtol=1e-14)
 
@@ -140,11 +142,30 @@ def test_height_sweep_matches_pointwise_route():
     # the FFT convolution route and the adaptive per-point route must
     # land on the same numbers where the grid has a point at omega = 0
     om = 0.0125 * np.arange(-400, 401)
-    sweep = amplitude_w_D_height_sweep(1.3, 5.0, STD, om,
-                                       resid_halfwidth=160.0)
+    sweep = amplitude_w_D_height_sweep(1.3, 5.0, STD, om)
     ref = amplitude_w_D(1.3, 5.0, STD, tol=1e-6).value
     center = sweep[400]
     assert abs(center - ref) <= 2e-6
+
+
+def test_height_sweep_fft_matches_direct_correlation():
+    # the residual part is a correlation done by FFT; numpy's direct
+    # convolution over the same samples and support is the reference
+    om = 0.05 * np.arange(-40, 41)
+    got = amplitude_w_D_height_sweep(1.3, 5.0, STD, om)
+
+    def shifted(x):
+        return amplitude_w_complex_height(1.3, 5.0, 1.0 - 0.4 * np.asarray(x))
+
+    lad = subtraction_ladder(STD)
+    want = sum(a * shifted(om + 1j * s) for a, s in zip(lad.weights, lad.rates))
+    support = (max(lad.mismatch, 1e-4) / (4.0 * math.pi * 1e-10)) ** 0.25
+    n_half = math.ceil(min(max(support, 40.0), 200.0) / 0.05)
+    g_res = residual_spectrum(STD, lad, 0.05 * np.arange(-n_half, n_half + 1))
+    w_ext = shifted(om[0] + 0.05 * np.arange(-n_half, om.size + n_half))
+    want = want + np.convolve(w_ext, g_res[::-1], mode="valid") * (
+        0.05 / (2.0 * math.pi))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_height_sweep_grid_validation():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qbarrier.errors import DomainError, NonConvergenceError
-from qbarrier.quadrature import (integrate_adaptive, oscillatory_panel_hint)
+from qbarrier.quadrature import integrate_adaptive
 
 
 def test_polynomial_exact():
@@ -28,7 +28,7 @@ def test_complex_oscillatory():
     # int_0^10 e^{i 40 x} dx, resolved by capping the panel width
     res = integrate_adaptive(
         lambda x: np.exp(40j * x), 0.0, 10.0, 1e-10,
-        max_panel_width=oscillatory_panel_hint(40.0))
+        max_panel_width=0.5 * math.pi / 40.0)
     exact = (np.exp(400j) - 1.0) / 40j
     assert res.value == pytest.approx(exact, abs=1e-10)
 
@@ -92,8 +92,3 @@ def test_zero_width_range():
     res = integrate_adaptive(lambda x: np.ones_like(x), 2.0, 2.0, 1e-10)
     assert res.value == 0.0
     assert res.panels_used == 0
-
-
-def test_oscillatory_panel_hint():
-    assert oscillatory_panel_hint(0.0) == math.inf
-    assert oscillatory_panel_hint(math.pi) == pytest.approx(0.5)

@@ -5,8 +5,7 @@ import pytest
 
 from qbarrier.errors import DomainError
 from qbarrier.units import (BarrierSpec, classical_crossing_time,
-                            omega_to_height_shift, resonance_energies,
-                            wave_numbers)
+                            resonance_energies, wave_numbers)
 
 
 def test_wave_numbers_above_barrier():
@@ -54,14 +53,6 @@ def test_resonance_energies_phase_condition():
     for n, e in enumerate(eps, start=1):
         assert math.sqrt(e - 1.0) * width == pytest.approx(n * math.pi,
                                                            rel=1e-14)
-
-
-def test_omega_to_height_shift_scaling():
-    assert omega_to_height_shift(100.0, 5.0) == pytest.approx(40.0)
-    arr = omega_to_height_shift(np.array([1.0, -2.0]), 4.0)
-    np.testing.assert_allclose(arr, [0.5, -1.0])
-    # complex rates pass through, used at complex barrier height
-    assert omega_to_height_shift(1j, 2.0) == 1j
 
 
 def test_barrier_spec():

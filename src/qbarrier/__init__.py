@@ -16,15 +16,12 @@ from .errors import (DegenerateKernelError, DegenerateSuppressionError,
                      DomainError, NonConvergenceError, PoleError,
                      QBarrierError, WindowError)
 from .kernel import DampingKernel
-from .traversal import (CumulativeConfig, SpectralGrid, cumulative_amplitude,
-                        distribution_F, distribution_F_D,
-                        mean_traversal_closed, mean_traversal_derivative)
-from .units import (BarrierSpec, classical_crossing_time, resonance_energies,
-                    wave_numbers)
+from .traversal import (SpectralGrid, cumulative_amplitude, distribution_F,
+                        distribution_F_D, mean_traversal_closed,
+                        mean_traversal_derivative)
+from .units import classical_crossing_time, resonance_energies, wave_numbers
 
 __all__ = [
-    "BarrierSpec",
-    "CumulativeConfig",
     "DampingKernel",
     "DegenerateKernelError",
     "DegenerateSuppressionError",

@@ -5,13 +5,16 @@ sweeps with their preset grids; ``transmission``, ``traversal``,
 ``cumulative``, and ``resonances`` expose the same runners with free
 parameters.  Output is CSV or JSON to stdout or a file.
 
-Exit codes: 0 clean, 2 bad usage, 3 numerical failure (partial output
-is still written with failed cells as nan, and stderr gets their count).
+Exit codes: 0 clean, 2 bad usage (including an option the subcommand
+does not take, or a nonpositive width or energy), 3 numerical failure
+(partial output is still written with failed cells as nan, and stderr
+gets their count).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -36,11 +39,23 @@ def _range_triple(text: str) -> tuple:
     return lo, hi, n
 
 
-def _tol(text: str) -> float:
+def _number(text: str, kind):
     try:
-        val = float(text)
+        return kind(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive(text: str) -> float:
+    val = _number(text, float)
+    if not 0.0 < val < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return val
+
+
+def _tol(text: str) -> float:
+    val = _number(text, float)
     if not 0.0 < val <= 1e-3:
         raise argparse.ArgumentTypeError(
             f"tolerance must be in (0, 1e-3], got {text!r}")
@@ -48,10 +63,7 @@ def _tol(text: str) -> float:
 
 
 def _threads(text: str) -> int:
-    try:
-        val = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    val = _number(text, int)
     if val < 1:
         raise argparse.ArgumentTypeError(
             f"thread count must be at least 1, got {text!r}")
@@ -59,7 +71,7 @@ def _threads(text: str) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
-    sub.add_argument("--d-over-lambda0", type=float, default=5.0,
+    sub.add_argument("--d-over-lambda0", type=_positive, default=5.0,
                      metavar="D", help="barrier width in wavelengths "
                      "(default %(default)s)")
     if gamma:
@@ -69,14 +81,19 @@ def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
         sub.add_argument("--omega-star", type=float, default=100.0,
                          metavar="W", help="bath cutoff in 1/tau_star "
                          "(default %(default)s)")
-    sub.add_argument("--tol", type=_tol, default=1e-6,
-                     help="per-point tolerance (default %(default)s)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", metavar="PATH", default=None,
                      help="output file (default stdout)")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the generation timestamp for "
                      "byte-reproducible output")
+
+
+def _add_solver(sub: argparse.ArgumentParser):
+    """Options of the pointwise w_D solver, read only by the transmission
+    sweeps."""
+    sub.add_argument("--tol", type=_tol, default=1e-6,
+                     help="per-point tolerance (default %(default)s)")
     sub.add_argument("--threads", type=_threads, default=1, metavar="N")
 
 
@@ -92,24 +109,27 @@ def build_parser() -> argparse.ArgumentParser:
                        ("figure5", "cumulative amplitude vs time")):
         sub = subs.add_parser(name, help=text)
         _add_common(sub, gamma=(name != "figure4"))
+        if name == "figure3":
+            _add_solver(sub)
 
     sub = subs.add_parser("transmission",
                           help="transmission probability on a free grid")
     _add_common(sub)
+    _add_solver(sub)
     sub.add_argument("--epsilon-range", type=_range_triple, required=True,
                      metavar="LO:HI:N")
 
     sub = subs.add_parser("traversal",
                           help="traversal-time distribution magnitude")
     _add_common(sub)
-    sub.add_argument("--epsilon", type=float, default=1.3)
+    sub.add_argument("--epsilon", type=_positive, default=1.3)
     sub.add_argument("--tau-range", type=_range_triple,
                      default=(0.0, 30.0, 301), metavar="LO:HI:N")
 
     sub = subs.add_parser("cumulative",
                           help="cumulative traversal amplitude magnitude")
     _add_common(sub)
-    sub.add_argument("--epsilon", type=float, default=1.3)
+    sub.add_argument("--epsilon", type=_positive, default=1.3)
     sub.add_argument("--tau-range", type=_range_triple,
                      default=(0.0, 30.0, 301), metavar="LO:HI:N")
 
@@ -123,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gammas(args, default):
-    listed = args.gamma_star if args.gamma_star else list(default)
-    return listed
+    return args.gamma_star if args.gamma_star else list(default)
 
 
 def _run(args) -> sweep.SweepResult:

@@ -22,7 +22,7 @@ t = 0 match those of ``sqrt(f)``:
 * the residual spectrum then decays like ``w**-(m+1)``, so a modest
   cutoff certifies the remaining real-axis integral.
 
-With the default m = 4 the residual envelope is ``|Delta_4| / w^5`` where
+With m = 4 the residual envelope is ``|Delta_4| / w^5`` where
 ``Delta_4`` measures the fourth-derivative mismatch; both the analytic
 envelope and an empirical sample at the window edge feed the reported
 error bound.  The clean limit gamma = 0 short-circuits to the bare
@@ -68,26 +68,22 @@ class SubtractionLadder:
         return acc
 
 
-def subtraction_ladder(kernel: DampingKernel,
-                       order: int = _LADDER_ORDER) -> SubtractionLadder:
+def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
     """Build the ladder for ``kernel``; rates are octaves of the slowest
     decay rate of sqrt(f), which keeps the small linear system well
     conditioned down to weak damping."""
     if kernel.gamma == 0.0:
         raise DegenerateKernelError("clean limit needs no subtraction ladder")
-    if order < 1:
-        raise DomainError("ladder order must be at least 1")
-    rates = kernel.decay_gap * 2.0 ** np.arange(order)
-    taylor = kernel.taylor_sqrt_f(order)
-    vand = (-rates[None, :]) ** np.arange(order)[:, None]
-    weights = np.linalg.solve(vand, taylor[:order])
+    rates = kernel.decay_gap * 2.0 ** np.arange(_LADDER_ORDER)
+    taylor = kernel.taylor_sqrt_f(_LADDER_ORDER)
+    vand = (-rates[None, :]) ** np.arange(_LADDER_ORDER)[:, None]
+    weights = np.linalg.solve(vand, taylor[:_LADDER_ORDER])
     return SubtractionLadder(rates, weights, taylor)
 
 
 def residual_spectrum(kernel: DampingKernel, ladder: SubtractionLadder,
                       omega) -> np.ndarray:
-    """Kernel spectrum minus the ladder spectrum; decays like omega^-5
-    for the default ladder order."""
+    """Kernel spectrum minus the ladder spectrum; decays like omega^-5."""
     return kernel.sqrt_f_spectrum(omega) - ladder.spectrum(omega)
 
 

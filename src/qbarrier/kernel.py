@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import DegenerateKernelError, DomainError, PoleError
 from .units import MASS
@@ -70,6 +69,10 @@ def _central_ratio(x: np.ndarray) -> np.ndarray:
     numbers of size x log x cancelling to size log x), so beyond 1e4 the
     standard asymptotic series takes over.
     """
+    # scipy.special is imported where it is used, so that paths without
+    # a damped spectrum never pay for loading it
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     big = x > 1e4
@@ -261,6 +264,8 @@ class DampingKernel:
         if self.gamma == 0.0:
             raise DegenerateKernelError(
                 "clean limit has no integrable spectrum")
+        from scipy.special import digamma
+
         om = np.asarray(omega, dtype=float)
         flat = np.atleast_1d(om).ravel()
         sig = self.sigma

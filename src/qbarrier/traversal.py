@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .barrier import amplitude_w, amplitude_w_complex_height
 from .damped import amplitude_w_D_height_sweep
@@ -50,24 +49,29 @@ from .errors import DegenerateSuppressionError, DomainError, WindowError
 from .kernel import DampingKernel
 from .units import wave_numbers
 
+# frequency range of the distribution transform, in window widths per side
+_SPAN_FACTOR = 8.0
+# spectral grid of the cumulative amplitude; the step is refined further
+# when the kernel's slowest decay rate needs finer sampling
+_CUMULATIVE_HALFWIDTH = 409.6
+_CUMULATIVE_MAX_STEP = 0.0125
+
 
 @dataclass(frozen=True)
 class SpectralGrid:
     """Discretization of the spectral transform behind ``F(tau)``.
 
-    ``window`` is the Gaussian width Omega_w (1/tau_star), ``period`` the
-    time period T_p (tau_star) fixing the frequency step 2 pi / T_p, and
-    ``span_factor`` how many window widths the frequency range covers on
-    each side before rounding the sample count up to a power of two.
+    ``window`` is the Gaussian width Omega_w (1/tau_star) and ``period``
+    the time period T_p (tau_star) fixing the frequency step 2 pi / T_p.
+    The frequency range covers eight window widths on each side before
+    the sample count is rounded up to a power of two.
     """
 
     window: float = 60.0
     period: float = 96.0
-    span_factor: float = 8.0
 
     def __post_init__(self):
-        if not (self.window > 0.0 and self.period > 0.0
-                and self.span_factor >= 4.0):
+        if not (self.window > 0.0 and self.period > 0.0):
             raise WindowError(f"inconsistent spectral grid: {self!r}")
 
     @property
@@ -76,7 +80,7 @@ class SpectralGrid:
 
     @property
     def n_samples(self) -> int:
-        need = 2.0 * self.span_factor * self.window / self.freq_step
+        need = 2.0 * _SPAN_FACTOR * self.window / self.freq_step
         n = 1 << max(4, math.ceil(math.log2(need)))
         if n > (1 << 22):
             raise WindowError(f"grid of {n} samples is beyond reason")
@@ -225,23 +229,6 @@ def mean_traversal_derivative(epsilon: float, width: float, *,
 
 
 @dataclass(frozen=True)
-class CumulativeConfig:
-    """Spectral grid for the cumulative amplitude.
-
-    ``max_step`` is refined automatically when the kernel's slowest decay
-    rate needs finer sampling."""
-
-    halfwidth: float = 409.6
-    max_step: float = 0.0125
-
-    def __post_init__(self):
-        if not (self.halfwidth > 0.0 and self.max_step > 0.0):
-            raise WindowError(f"inconsistent cumulative grid: {self!r}")
-        if self.halfwidth / self.max_step > 5e6:
-            raise WindowError("cumulative grid is beyond reason")
-
-
-@dataclass(frozen=True)
 class CumulativeResult:
     times: np.ndarray
     values: np.ndarray
@@ -255,24 +242,26 @@ def cumulative_amplitude(
     width: float,
     kernel: DampingKernel,
     times,
-    *,
-    config: CumulativeConfig | None = None,
 ) -> CumulativeResult:
     """Cumulative traversal amplitude ``C_D`` on the requested times.
 
     Exactly 0 at ``tau = 0``, tends to 1, and its derivative reproduces
     the suppressed distribution.  The clean limit gives the cumulative of
-    the bare distribution.
+    the bare distribution.  Raises WindowError when the kernel decays so
+    slowly that the grid would need more than 5e6 steps per side.
     """
-    config = config or CumulativeConfig()
     taus = np.asarray(times, dtype=float)
     if not np.all(taus >= 0.0):
         raise DomainError("cumulative times must be nonnegative")
 
-    step = config.max_step
+    step = _CUMULATIVE_MAX_STEP
     if kernel.gamma > 0.0:
         step = min(step, kernel.decay_gap / 25.0)
-    n_half = int(math.ceil(config.halfwidth / step))
+    per_side = _CUMULATIVE_HALFWIDTH / step
+    if per_side > 5e6:
+        raise WindowError(f"cumulative grid of {per_side:.3g} steps per "
+                          "side is beyond reason")
+    n_half = int(math.ceil(per_side))
     w_half = n_half * step
     grid = step * np.arange(-n_half, n_half + 1)
 
@@ -305,6 +294,9 @@ def cumulative_amplitude(
             sins = np.sin(grid * tau)
             integrals[idx] = ((dpsi * np.diff(sins)).sum() / (tau * tau * step)
                               + psi_edge_diff * math.cos(w_half * tau) / tau)
+    # imported here so that paths without a cumulative curve never load it
+    from scipy.special import sici
+
     si_vals, _ = sici(w_half * flat)
     values = (1.0 + integrals / h0
               - (2.0 / math.pi) * (0.5 * math.pi - si_vals))

@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 
-HBAR = 1.0
 MASS = 0.5
 
 
@@ -88,25 +86,3 @@ def resonance_energies(width: float, count: int) -> np.ndarray:
     n = np.arange(1, count + 1, dtype=float)
     return 1.0 + (n * math.pi / width) ** 2
 
-
-@dataclass(frozen=True)
-class BarrierSpec:
-    """Rectangular barrier of reduced width ``width = d / lambda0``.
-
-    Height is always ``V0 = 1`` in reduced units, so the width is the only
-    free geometric parameter.
-    """
-
-    width: float
-
-    def __post_init__(self):
-        if not self.width > 0.0:
-            raise DomainError(f"width must be positive, got {self.width!r}")
-
-    @property
-    def tau_star(self) -> float:
-        """Reference crossing time in raw ``hbar / V0`` units."""
-        return 0.5 * self.width
-
-    def resonances(self, count: int) -> np.ndarray:
-        return resonance_energies(self.width, count)

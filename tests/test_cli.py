@@ -173,27 +173,52 @@ def test_cli_rejects_bad_threads(capsys):
 
 
 def test_cli_reports_failed_cells_on_stderr(capsys):
-    # a zero-width barrier passes argument parsing and fails every cell,
-    # which the table shows only as nan; stderr must say so
-    code = main(["figure4", "--d-over-lambda0", "0", "--no-timestamp"])
+    # weak damping needs a cumulative grid beyond reason, so the damped
+    # column fails as a whole; the table shows it only as nan and stderr
+    # must say so
+    code = main(["cumulative", "--gamma-star", "1e-5", "--omega-star", "10",
+                 "--tau-range", "0:3:4", "--no-timestamp"])
     assert code == 3
     captured = capsys.readouterr()
-    assert "# failures=256" in captured.out
-    assert captured.err == ("qbarrier: 256 cell(s) failed and are "
+    assert "# failures=4" in captured.out
+    assert captured.err == ("qbarrier: 4 cell(s) failed and are "
                             "written as nan\n")
 
 
+def test_cli_rejects_nonpositive_width_and_energy(capsys):
+    for argv in (["figure4", "--d-over-lambda0", "0"],
+                 ["cumulative", "--epsilon", "-2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--no-timestamp"])
+        assert info.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["figure4", "figure5", "traversal",
+                                     "cumulative", "resonances"])
+@pytest.mark.parametrize("option", [["--tol", "1e-8"], ["--threads", "2"]],
+                         ids=["tol", "threads"])
+def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
+    # only the transmission sweeps call the pointwise solver
+    with pytest.raises(SystemExit) as info:
+        main([command, *option, "--no-timestamp"])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
 def test_cli_import_path_is_lean():
-    # scipy.signal and scipy.optimize each cost about a second to import
-    # and serve no CLI path; a fresh interpreter shows what the import pulls in
-    probe = ("import qbarrier.cli, sys; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') "
-             "if m in sys.modules))")
-    # probe the same copy of the package this suite imported
+    # scipy costs most of the import and only the damped spectrum and the
+    # cumulative curve call it; a fresh interpreter shows what each
+    # import pulls in
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for module in ("qbarrier.cli", "qbarrier"):
+        probe = (f"import {module}, sys; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+        # probe the same copy of the package this suite imported
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             env=env, capture_output=True, text=True).stdout
+        assert out.strip() == "[]", module
 
 
 def test_cli_numerical_failure_exit_code(capsys):

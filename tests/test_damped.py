@@ -35,8 +35,6 @@ def test_ladder_moment_matching():
 def test_ladder_requires_damping():
     with pytest.raises(DegenerateKernelError):
         subtraction_ladder(DampingKernel(0.0, 100.0))
-    with pytest.raises(DomainError):
-        subtraction_ladder(STD, order=0)
 
 
 def test_residual_spectrum_decays_like_fifth_power():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qbarrier.errors import DomainError
-from qbarrier.units import (BarrierSpec, classical_crossing_time,
-                            resonance_energies, wave_numbers)
+from qbarrier.units import (classical_crossing_time, resonance_energies,
+                            wave_numbers)
 
 
 def test_wave_numbers_above_barrier():
@@ -53,12 +53,3 @@ def test_resonance_energies_phase_condition():
     for n, e in enumerate(eps, start=1):
         assert math.sqrt(e - 1.0) * width == pytest.approx(n * math.pi,
                                                            rel=1e-14)
-
-
-def test_barrier_spec():
-    spec = BarrierSpec(5.0)
-    assert spec.tau_star == 2.5
-    np.testing.assert_allclose(spec.resonances(2),
-                               resonance_energies(5.0, 2))
-    with pytest.raises(DomainError):
-        BarrierSpec(0.0)

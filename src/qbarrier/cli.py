@@ -6,9 +6,10 @@ sweeps with their preset grids; ``transmission``, ``traversal``,
 parameters.  Output is CSV or JSON to stdout or a file.
 
 Exit codes: 0 clean, 2 bad usage (including an option the subcommand
-does not take, or a nonpositive width or energy), 3 numerical failure
-(partial output is still written with failed cells as nan, and stderr
-gets their count).
+does not take, a nonpositive width, energy or bath cutoff, or a count
+below 1), 3 numerical failure (partial output is still written with
+failed cells as nan, and stderr gets their count and, for each failed
+column, the first exception).
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ def _tol(text: str) -> float:
     return val
 
 
-def _threads(text: str) -> int:
+def _at_least_one(text: str) -> int:
     val = _number(text, int)
     if val < 1:
         raise argparse.ArgumentTypeError(
-            f"thread count must be at least 1, got {text!r}")
+            f"must be an integer of at least 1, got {text!r}")
     return val
 
 
@@ -78,7 +79,7 @@ def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
         sub.add_argument("--gamma-star", type=float, action="append",
                          metavar="G", help="damping rate in 1/tau_star; "
                          "repeatable, 0 baseline always included")
-        sub.add_argument("--omega-star", type=float, default=100.0,
+        sub.add_argument("--omega-star", type=_positive, default=100.0,
                          metavar="W", help="bath cutoff in 1/tau_star "
                          "(default %(default)s)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -94,7 +95,7 @@ def _add_solver(sub: argparse.ArgumentParser):
     sweeps."""
     sub.add_argument("--tol", type=_tol, default=1e-6,
                      help="per-point tolerance (default %(default)s)")
-    sub.add_argument("--threads", type=_threads, default=1, metavar="N")
+    sub.add_argument("--threads", type=_at_least_one, default=1, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="resonance energies and mean traversal "
                           "times")
     _add_common(sub, gamma=False)
-    sub.add_argument("--count", type=int, default=4)
+    sub.add_argument("--count", type=_at_least_one, default=4)
 
     return parser
 
@@ -203,6 +204,9 @@ def main(argv=None) -> int:
     if result.failures:
         print(f"qbarrier: {result.failures} cell(s) failed and are "
               "written as nan", file=sys.stderr)
+        for label, exc in result.reasons.items():
+            print(f"qbarrier: {label}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
         return 3
     return 0
 

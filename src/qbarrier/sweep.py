@@ -5,8 +5,9 @@ time, or resonance index) plus one series per damping rate, with the
 clean ``g0`` baseline always present where it makes sense.  Complex
 quantities are emitted as magnitudes; that keeps the column schema flat
 and matches how the curves are plotted.  Failed points are recorded as
-NaN cells and counted, never silently dropped, so a caller can emit the
-partial table and still signal the failure.
+NaN cells and counted, never silently dropped, and the first exception
+of each failed column is kept, so a caller can emit the partial table and
+still say what failed and why.
 
 Worker pools only change wall time: results are gathered by input index,
 so the emitted rows are identical for any thread count.
@@ -51,6 +52,7 @@ class SweepResult:
     params: dict
     errors: dict = field(default_factory=dict)
     failures: int = 0
+    reasons: dict = field(default_factory=dict)  # label -> first exception
 
 
 def _with_baseline(gammas) -> list:
@@ -71,7 +73,7 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
     gammas = _with_baseline(gammas)
     eps = np.asarray(epsilons, dtype=float)
     table = np.empty((eps.size, len(gammas)))
-    errors = {}
+    errors, reasons = {}, {}
     failures = 0
     for col, g in enumerate(gammas):
         label = gamma_label(g)
@@ -84,9 +86,10 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
         def one(e: float):
             try:
                 res = amplitude_w_D(e, width, kernel, tol=tol)
-                return abs(res.value) ** 2, 2.0 * abs(res.value) * res.error_estimate
-            except QBarrierError:
-                return math.nan, math.nan
+                return (abs(res.value) ** 2,
+                        2.0 * abs(res.value) * res.error_estimate, None)
+            except QBarrierError as exc:
+                return math.nan, math.nan, exc
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -96,11 +99,14 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
         table[:, col] = [r[0] for r in rows]
         errors[label] = [r[1] for r in rows]
         failures += sum(1 for r in rows if math.isnan(r[0]))
+        for r in rows:
+            if r[2] is not None:
+                reasons.setdefault(label, r[2])
     params = dict(width=width, cutoff=cutoff, tol=tol,
                   gammas=gammas, n_points=eps.size)
     return SweepResult("transmission", "epsilon", eps,
                        [gamma_label(g) for g in gammas], table, params,
-                       errors, failures)
+                       errors, failures, reasons)
 
 
 def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
@@ -111,18 +117,20 @@ def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
     table = np.empty((eps.size, 1))
     errs = []
     failures = 0
+    reasons = {}
     for i, e in enumerate(eps):
         try:
             closed = mean_traversal_closed(float(e), width)
             table[i, 0] = abs(closed) - classical_crossing_time(float(e))
             errs.append(abs(closed - mean_traversal_derivative(float(e), width)))
-        except QBarrierError:
+        except QBarrierError as exc:
             table[i, 0] = math.nan
             errs.append(math.nan)
             failures += 1
+            reasons.setdefault("g0", exc)
     params = dict(width=width, n_points=eps.size)
     return SweepResult("mean_tau_deviation", "epsilon", eps, ["g0"],
-                       table, params, {"g0": errs}, failures)
+                       table, params, {"g0": errs}, failures, reasons)
 
 
 def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
@@ -132,19 +140,21 @@ def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
     taus = np.asarray(taus, dtype=float)
     table = np.empty((taus.size, len(gammas)))
     failures = 0
+    reasons = {}
     for col, g in enumerate(gammas):
         kernel = DampingKernel(g, cutoff)
         try:
             res = cumulative_amplitude(epsilon, width, kernel, taus)
             table[:, col] = np.abs(res.values)
-        except QBarrierError:
+        except QBarrierError as exc:
             table[:, col] = math.nan
             failures += taus.size
+            reasons[gamma_label(g)] = exc
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
                   n_points=taus.size)
     return SweepResult("cumulative", "tau_star", taus,
                        [gamma_label(g) for g in gammas], table, params,
-                       failures=failures)
+                       failures=failures, reasons=reasons)
 
 
 def run_distribution(width: float, epsilon: float, tau_lo: float,
@@ -165,6 +175,7 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
     idx = idx[::stride]
     table = np.empty((idx.size, len(gammas)))
     failures = 0
+    reasons = {}
     for col, g in enumerate(gammas):
         try:
             if g == 0.0:
@@ -173,14 +184,15 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
                 dist = distribution_F_D(
                     epsilon, width, DampingKernel(g, cutoff), grid=grid)
             table[:, col] = np.abs(dist.positive_values[idx])
-        except QBarrierError:
+        except QBarrierError as exc:
             table[:, col] = math.nan
             failures += idx.size
+            reasons[gamma_label(g)] = exc
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
                   window=grid.window, period=grid.period)
     return SweepResult("distribution", "tau_star", times[idx],
                        [gamma_label(g) for g in gammas], table, params,
-                       failures=failures)
+                       failures=failures, reasons=reasons)
 
 
 def run_resonances(width: float, count: int) -> SweepResult:

@@ -181,8 +181,10 @@ def test_cli_reports_failed_cells_on_stderr(capsys):
     assert code == 3
     captured = capsys.readouterr()
     assert "# failures=4" in captured.out
-    assert captured.err == ("qbarrier: 4 cell(s) failed and are "
-                            "written as nan\n")
+    assert captured.err == (
+        "qbarrier: 4 cell(s) failed and are written as nan\n"
+        "qbarrier: g1e-05: WindowError: cumulative grid of 1.74e+08 steps "
+        "per side is beyond reason\n")
 
 
 def test_cli_rejects_nonpositive_width_and_energy(capsys):
@@ -191,6 +193,19 @@ def test_cli_rejects_nonpositive_width_and_energy(capsys):
         with pytest.raises(SystemExit) as info:
             main(argv + ["--no-timestamp"])
         assert info.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonances", "--count", "0"],
+    ["figure5", "--omega-star", "0"],
+    ["traversal", "--omega-star", "-1"]])
+def test_cli_rejects_malformed_count_and_cutoff(capsys, argv):
+    # a request no computation can honour is bad usage, not a numerical
+    # failure
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--no-timestamp"])
+    assert info.value.code == 2
     capsys.readouterr()
 
 

@@ -3,10 +3,15 @@ spectral evaluation against frozen references, and continuity in the
 weak-damping limit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbarrier
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
                               transmission_prob)
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
@@ -14,6 +19,7 @@ from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
                              transmission_prob_D)
 from qbarrier.errors import (DegenerateKernelError, DomainError)
 from qbarrier.kernel import DampingKernel
+from qbarrier.traversal import SpectralGrid, distribution_F_D
 
 STD = DampingKernel(5e-3, 100.0)
 
@@ -90,6 +96,32 @@ def test_weak_damping_continuity():
     assert devs[0] == pytest.approx(6.90e-5, rel=0.05)
     assert devs[1] / devs[0] == pytest.approx(0.1, rel=0.05)
     assert devs[2] / devs[1] == pytest.approx(0.1, rel=0.05)
+
+
+def test_weak_damping_matches_factorized_route():
+    # gamma = 1e-5, Omega = 10 puts the spectrum's turnover |omega|/b near
+    # 1e5 terms, where the geometric panels carry the sum; the factorized
+    # route of criterion 5 never calls the spectrum
+    kernel = DampingKernel(1e-5, 10.0)
+    spectral = amplitude_w_D(1.3, 5.0, kernel).value
+    dist = distribution_F_D(1.3, 5.0, kernel,
+                            grid=SpectralGrid(window=160.0, period=96.0))
+    factorized = dist.amplitude * dist.suppression
+    assert abs(spectral - factorized) <= 1e-5 * abs(spectral)
+
+
+def test_w_D_loads_no_scipy():
+    # the spectrum sums its own series; a fresh interpreter on the same
+    # package copy shows which modules one damped amplitude pulls in
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    probe = ("import sys; from qbarrier.damped import amplitude_w_D; "
+             "from qbarrier.kernel import DampingKernel; "
+             "amplitude_w_D(1.3, 5.0, DampingKernel(5e-3, 100.0)); "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_suppression_above_barrier():

@@ -4,13 +4,14 @@ direct-quadrature oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
-from qbarrier.kernel import DampingKernel
+from qbarrier.kernel import DampingKernel, _central_ratio
 from qbarrier.quadrature import integrate_adaptive
 from qbarrier.units import MASS
 
@@ -197,6 +198,14 @@ def test_series_requires_damping():
         clean.sqrt_f_spectrum(1.0)
 
 
+def test_spectrum_rejects_nonfinite_omega():
+    # the tail panels are laid out to 3|omega|/b, which no infinite or
+    # nan frequency has
+    for bad in (math.inf, -math.inf, math.nan, [0.0, math.nan]):
+        with pytest.raises(DomainError):
+            STD.sqrt_f_spectrum(bad)
+
+
 def _spectrum_oracle(kernel, omega, tol=1e-11):
     """Direct quadrature of the defining transform, independent of the
     series evaluation under test."""
@@ -214,6 +223,60 @@ def test_spectrum_against_quadrature(gamma, omega):
     got = kernel.sqrt_f_spectrum(omega)
     want = _spectrum_oracle(kernel, omega)
     assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def _mp_central_ratio(x):
+    return mpmath.exp(mpmath.loggamma(x + 0.5) - mpmath.loggamma(x + 1)) / (
+        mpmath.sqrt(mpmath.pi))
+
+
+def _spectrum_mpmath(kernel, omega):
+    """The spectrum series at 30 digits: 200 exact terms, the tail
+    integral by mpmath.quad split at 200 * 4^j out to 40 times the
+    turnover |omega|/b, and Euler-Maclaurin terms through h^(5) from
+    mpmath.diff, with log Gamma for the central binomial ratio."""
+    with mpmath.workdps(30):
+        b = 2 * mpmath.mpf(kernel.sigma)
+        a = mpmath.mpf(kernel.decay_gap) + 1j * mpmath.mpf(omega)
+
+        def h(x):
+            return _mp_central_ratio(x) * (a + b * x) ** mpmath.mpf(-1.5)
+
+        block, coeff = mpmath.mpf(0), mpmath.mpf(1)
+        for n in range(200):
+            block += coeff * (a + b * n) ** mpmath.mpf(-1.5)
+            coeff *= mpmath.mpf(2 * n + 1) / (2 * n + 2)
+        edges = [mpmath.mpf(200)]
+        while edges[-1] < 40 * abs(mpmath.mpf(omega)) / b:
+            edges.append(4 * edges[-1])
+        tail = (mpmath.quad(h, edges + [mpmath.inf]) + h(200) / 2
+                - mpmath.diff(h, 200, 1) / 12 + mpmath.diff(h, 200, 3) / 720
+                - mpmath.diff(h, 200, 5) / 30240)
+        total = mpmath.sqrt(b) * mpmath.gamma(1.5) * (block + tail)
+        return complex(total)
+
+
+def test_spectrum_against_mpmath():
+    # the corners of the rate box and the two workhorse kernels, from the
+    # spectrum's centre out past the turnover of the weakest kernels
+    worst = {}
+    for gamma, cutoff in ((1e-6, 10.0), (1e-6, 1000.0), (1e-5, 10.0),
+                          (1e-3, 100.0), (5e-3, 100.0), (5.0, 1000.0)):
+        kernel = DampingKernel(gamma, cutoff)
+        for omega in (0.0, -2.0, 64.0, 400.0):
+            want = _spectrum_mpmath(kernel, omega)
+            got = kernel.sqrt_f_spectrum(omega)
+            worst[gamma, cutoff, omega] = abs(got - want) / abs(want)
+    assert max(worst.values()) <= 1e-14, worst
+
+
+def test_central_ratio_against_mpmath():
+    xs = (8.0, 64.0, 754.0, 2000.0, 5000.7, 9999.0, 1e6)
+    got = _central_ratio(np.array(xs))
+    with mpmath.workdps(30):
+        for x, val in zip(xs, got):
+            want = _mp_central_ratio(mpmath.mpf(x))
+            assert abs(val - want) <= 4e-16 * want, x
 
 
 def test_spectrum_real_at_zero():

@@ -6,10 +6,10 @@ sweeps with their preset grids; ``transmission``, ``traversal``,
 parameters.  Output is CSV or JSON to stdout or a file.
 
 Exit codes: 0 clean, 2 bad usage (including an option the subcommand
-does not take, a nonpositive width, energy or bath cutoff, or a count
-below 1), 3 numerical failure (partial output is still written with
-failed cells as nan, and stderr gets their count and, for each failed
-column, the first exception).
+does not take, a nonpositive width, energy or bath cutoff, a negative
+time, an infinite range end, or a count below 1), 3 numerical failure
+(partial output is still written with failed cells as nan, and stderr
+gets their count and, for each failed column, the first exception).
 """
 
 from __future__ import annotations
@@ -33,10 +33,25 @@ def _range_triple(text: str) -> tuple:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"need lo < hi in {text!r}")
+    if not -math.inf < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"need finite lo < hi in {text!r}")
     if n < 2:
         raise argparse.ArgumentTypeError(f"need n >= 2 in {text!r}")
+    return lo, hi, n
+
+
+def _epsilon_range(text: str) -> tuple:
+    lo, hi, n = _range_triple(text)
+    if not lo > 0.0:
+        raise argparse.ArgumentTypeError(f"need energies > 0 in {text!r}")
+    return lo, hi, n
+
+
+def _tau_range(text: str) -> tuple:
+    lo, hi, n = _range_triple(text)
+    if not lo >= 0.0:
+        raise argparse.ArgumentTypeError(f"need times >= 0 in {text!r}")
     return lo, hi, n
 
 
@@ -91,11 +106,13 @@ def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
 
 
 def _add_solver(sub: argparse.ArgumentParser):
-    """Options of the pointwise w_D solver, read only by the transmission
+    """Options of the pointwise w_D solver, taken only by the transmission
     sweeps."""
     sub.add_argument("--tol", type=_tol, default=1e-6,
                      help="per-point tolerance (default %(default)s)")
-    sub.add_argument("--threads", type=_at_least_one, default=1, metavar="N")
+    sub.add_argument("--threads", type=_at_least_one, default=1, metavar="N",
+                     help="accepted for compatibility; sweeps run serially "
+                     "and the value has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,21 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="transmission probability on a free grid")
     _add_common(sub)
     _add_solver(sub)
-    sub.add_argument("--epsilon-range", type=_range_triple, required=True,
+    sub.add_argument("--epsilon-range", type=_epsilon_range, required=True,
                      metavar="LO:HI:N")
 
     sub = subs.add_parser("traversal",
                           help="traversal-time distribution magnitude")
     _add_common(sub)
     sub.add_argument("--epsilon", type=_positive, default=1.3)
-    sub.add_argument("--tau-range", type=_range_triple,
+    sub.add_argument("--tau-range", type=_tau_range,
                      default=(0.0, 30.0, 301), metavar="LO:HI:N")
 
     sub = subs.add_parser("cumulative",
                           help="cumulative traversal amplitude magnitude")
     _add_common(sub)
     sub.add_argument("--epsilon", type=_positive, default=1.3)
-    sub.add_argument("--tau-range", type=_range_triple,
+    sub.add_argument("--tau-range", type=_tau_range,
                      default=(0.0, 30.0, 301), metavar="LO:HI:N")
 
     sub = subs.add_parser("resonances",
@@ -154,7 +171,7 @@ def _run(args) -> sweep.SweepResult:
         eps = np.linspace(0.05, 5.0, 256)
         return sweep.run_transmission(
             width, eps, _gammas(args, (0.0, 1e-3, 5e-3)), args.omega_star,
-            tol=args.tol, threads=args.threads)
+            tol=args.tol)
     if cmd == "figure4":
         eps = np.linspace(1.01, 5.0, 257)[1:]
         return sweep.run_mean_deviation(width, eps)
@@ -167,7 +184,7 @@ def _run(args) -> sweep.SweepResult:
         eps = np.linspace(lo, hi, n)
         return sweep.run_transmission(
             width, eps, _gammas(args, (0.0,)), args.omega_star,
-            tol=args.tol, threads=args.threads)
+            tol=args.tol)
     if cmd == "traversal":
         lo, hi, n = args.tau_range
         return sweep.run_distribution(

@@ -88,40 +88,26 @@ def _eval_panel(fn, lo: float, hi: float):
     return complex(k15), abs(k15 - g7)
 
 
-def _truncation_cutoff(fn, lo: float, tail, tol: float):
+def _truncation_cutoff(fn, lo: float, rate: float, tol: float):
     """Pick a finite cutoff W for an integral to +infinity.
 
-    ``tail`` declares the decay law of the integrand: ("exp", rate) for
-    envelopes ~ C*exp(-rate*x), ("power", p) with p > 1 for envelopes
-    ~ C*x**(-p).  The constant C is measured from samples near the
+    ``rate`` declares the decay law of the integrand, an envelope
+    ~ C*exp(-rate*x).  The constant C is measured from samples near the
     candidate cutoff, and the cutoff doubles until the implied remainder
     drops below tol.  Returns (cutoff, bound).
     """
-    kind, param = tail
-    if kind == "exp":
-        rate = float(param)
-        if rate <= 0.0:
-            raise DomainError(f"exp tail needs a positive rate, got {param!r}")
-        w = lo + max(30.0 / rate, 1.0)
-    elif kind == "power":
-        p = float(param)
-        if p <= 1.0:
-            raise DomainError(f"power tail needs exponent > 1, got {param!r}")
-        w = max(2.0 * abs(lo), 16.0)
-    else:
-        raise DomainError(f"unknown tail kind {kind!r}")
+    rate = float(rate)
+    if not rate > 0.0:
+        raise DomainError(f"tail needs a positive decay rate, got {rate!r}")
+    w = lo + max(30.0 / rate, 1.0)
 
     for _ in range(200):
         xs = w * np.array([0.8, 0.9, 1.0]) if lo >= 0 else np.array(
             [w - 2.0, w - 1.0, w])
         xs = np.maximum(xs, lo + 1e-12 * max(1.0, abs(lo)))
         ys = np.abs(np.asarray(fn(xs)))
-        if kind == "exp":
-            c = float(np.max(ys * np.exp(rate * (xs - w))))
-            bound = c / rate
-        else:
-            c = float(np.max(ys * xs ** p))
-            bound = c * w ** (1.0 - p) / (p - 1.0)
+        c = float(np.max(ys * np.exp(rate * (xs - w))))
+        bound = c / rate
         if bound <= tol or c == 0.0:
             return w, bound
         w *= 2.0
@@ -135,16 +121,17 @@ def integrate_adaptive(
     hi: float,
     tol: float,
     *,
-    tail=None,
+    tail_rate: float | None = None,
     breakpoints: Sequence[float] = (),
     max_panel_width: float | None = None,
     panel_budget: int = 4096,
 ) -> QuadratureResult:
     """Integrate ``fn`` over [lo, hi] to absolute tolerance ``tol``.
 
-    ``hi`` may be ``math.inf`` if ``tail`` declares the decay law; the
-    range is then truncated at a cutoff whose certified remainder is part
-    of the returned ``tail_bound``.  ``breakpoints`` seed the initial
+    ``hi`` may be ``math.inf`` if ``tail_rate`` declares the decay rate
+    of the integrand's exponential envelope; the range is then truncated
+    at a cutoff whose certified remainder is part of the returned
+    ``tail_bound``.  ``breakpoints`` seed the initial
     subdivision (known scales, kinks, phase marks) and
     ``max_panel_width`` caps the width of the seed panels, which is the
     cheap way to keep oscillatory integrands resolved from the start.
@@ -157,9 +144,9 @@ def integrate_adaptive(
     if not math.isfinite(lo):
         raise DomainError("lower limit must be finite")
     if math.isinf(hi):
-        if tail is None:
-            raise DomainError("semi-infinite range needs a tail declaration")
-        hi_eff, tail_bound = _truncation_cutoff(fn, lo, tail, 0.25 * tol)
+        if tail_rate is None:
+            raise DomainError("semi-infinite range needs a tail decay rate")
+        hi_eff, tail_bound = _truncation_cutoff(fn, lo, tail_rate, 0.25 * tol)
     else:
         if hi < lo:
             raise DomainError("integration limits out of order")

@@ -9,15 +9,13 @@ NaN cells and counted, never silently dropped, and the first exception
 of each failed column is kept, so a caller can emit the partial table and
 still say what failed and why.
 
-Worker pools only change wall time: results are gathered by input index,
-so the emitted rows are identical for any thread count.
+Every sweep runs serially, point by point in input order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -68,7 +66,7 @@ def _with_baseline(gammas) -> list:
 
 
 def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
-                     *, tol: float = 1e-6, threads: int = 1) -> SweepResult:
+                     *, tol: float = 1e-6) -> SweepResult:
     """Transmission probability curves, one series per damping rate."""
     gammas = _with_baseline(gammas)
     eps = np.asarray(epsilons, dtype=float)
@@ -82,26 +80,17 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
             errors[label] = [0.0] * eps.size
             continue
         kernel = DampingKernel(g, cutoff)
-
-        def one(e: float):
+        errs = errors[label] = []
+        for i, e in enumerate(eps):
             try:
                 res = amplitude_w_D(e, width, kernel, tol=tol)
-                return (abs(res.value) ** 2,
-                        2.0 * abs(res.value) * res.error_estimate, None)
+                table[i, col] = abs(res.value) ** 2
+                errs.append(2.0 * abs(res.value) * res.error_estimate)
             except QBarrierError as exc:
-                return math.nan, math.nan, exc
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(one, eps))
-        else:
-            rows = [one(e) for e in eps]
-        table[:, col] = [r[0] for r in rows]
-        errors[label] = [r[1] for r in rows]
-        failures += sum(1 for r in rows if math.isnan(r[0]))
-        for r in rows:
-            if r[2] is not None:
-                reasons.setdefault(label, r[2])
+                table[i, col] = math.nan
+                errs.append(math.nan)
+                failures += 1
+                reasons.setdefault(label, exc)
     params = dict(width=width, cutoff=cutoff, tol=tol,
                   gammas=gammas, n_points=eps.size)
     return SweepResult("transmission", "epsilon", eps,

@@ -132,7 +132,7 @@ def test_criterion_04_kernel_correctness():
         for om, sv in zip(omegas, series_vals):
             fn = lambda t: kernel.sqrt_f(t) * np.exp(-1j * om * t)
             direct = integrate_adaptive(
-                fn, 0.0, math.inf, 1e-11, tail=("exp", kernel.decay_gap),
+                fn, 0.0, math.inf, 1e-11, tail_rate=kernel.decay_gap,
                 max_panel_width=2.0 / max(abs(om), 0.25)).value
             worst_spec = max(worst_spec, abs(sv - direct) / abs(direct))
 
@@ -159,7 +159,7 @@ def test_criterion_05_dissipative_route_equivalence():
 
 def test_criterion_06_transmission_morphology():
     eps = np.linspace(0.05, 5.0, 256)
-    result = run_transmission(WIDTH, eps, [1e-3, 5e-3], CUTOFF, threads=4)
+    result = run_transmission(WIDTH, eps, [1e-3, 5e-3], CUTOFF)
     assert result.failures == 0
     clean = result.table[:, result.columns.index("g0")]
     mid = result.table[:, result.columns.index("g0.001")]

@@ -37,15 +37,6 @@ def test_run_transmission_baseline_and_columns():
     assert all(e >= 0.0 for e in res.errors["g0.005"])
 
 
-def test_run_transmission_thread_invariance():
-    eps = np.linspace(1.2, 1.4, 3)
-    one = run_transmission(5.0, eps, [5e-3], 100.0, threads=1)
-    four = run_transmission(5.0, eps, [5e-3], 100.0, threads=4)
-    np.testing.assert_array_equal(one.table, four.table)
-    assert format_csv(one, timestamp=False) == format_csv(
-        four, timestamp=False)
-
-
 def test_run_mean_deviation_positive_at_resonance():
     eps = np.array([1.39, 1.3947841760435743, 1.40])
     res = run_mean_deviation(5.0, eps)
@@ -209,6 +200,21 @@ def test_cli_rejects_malformed_count_and_cutoff(capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["transmission", "--epsilon-range", "0:2:4"],
+    ["transmission", "--epsilon-range=-1:2:4"],
+    ["transmission", "--epsilon-range", "0.5:inf:3"],
+    ["cumulative", "--tau-range", "0:inf:3"],
+    ["cumulative", "--tau-range=-5:3:4"],
+    ["traversal", "--tau-range=-5:3:4"]])
+def test_cli_rejects_malformed_range(capsys, argv):
+    # energies must be positive, times nonnegative, both ends finite
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--no-timestamp"])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["figure4", "figure5", "traversal",
                                      "cumulative", "resonances"])
 @pytest.mark.parametrize("option", [["--tol", "1e-8"], ["--threads", "2"]],
@@ -222,14 +228,15 @@ def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
 
 
 def test_cli_import_path_is_lean():
-    # scipy costs most of the import and only the damped spectrum and the
-    # cumulative curve call it; a fresh interpreter shows what each
-    # import pulls in
+    # scipy costs most of the import and only the cumulative curve and
+    # DampingKernel.peak_time call it; sweeps run serially, so no executor
+    # loads either.  A fresh interpreter shows what each import pulls in
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
     for module in ("qbarrier.cli", "qbarrier"):
         probe = (f"import {module}, sys; "
                  "print(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.')))")
+                 "if m in ('scipy', 'concurrent.futures') "
+                 "or m.startswith('scipy.')))")
         # probe the same copy of the package this suite imported
         out = subprocess.run([sys.executable, "-c", probe], check=True,
                              env=env, capture_output=True, text=True).stdout

@@ -211,7 +211,7 @@ def _spectrum_oracle(kernel, omega, tol=1e-11):
     series evaluation under test."""
     fn = lambda t: kernel.sqrt_f(t) * np.exp(-1j * omega * t)
     res = integrate_adaptive(fn, 0.0, math.inf, tol,
-                             tail=("exp", kernel.decay_gap),
+                             tail_rate=kernel.decay_gap,
                              max_panel_width=2.0 / max(abs(omega), 0.25))
     return res.value
 

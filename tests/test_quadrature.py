@@ -45,15 +45,9 @@ def test_breakpoint_seeding_catches_narrow_spike():
 
 def test_exponential_tail_truncation():
     res = integrate_adaptive(lambda x: np.exp(-0.5 * x), 0.0, math.inf,
-                             1e-10, tail=("exp", 0.5))
+                             1e-10, tail_rate=0.5)
     assert res.value.real == pytest.approx(2.0, rel=1e-10)
     assert res.tail_bound <= 0.25 * 1e-10
-
-
-def test_power_tail_truncation():
-    res = integrate_adaptive(lambda x: x ** -3.0, 1.0, math.inf,
-                             1e-10, tail=("power", 3.0))
-    assert res.value.real == pytest.approx(0.5, rel=1e-9)
 
 
 def test_nonconvergence_carries_best_estimate():

@@ -197,8 +197,6 @@ class DampingKernel:
         """
         if self.gamma == 0.0:
             return 0.0
-        from scipy.optimize import brentq
-
         sig = self.sigma
 
         def excess(t: float) -> float:
@@ -213,7 +211,12 @@ class DampingKernel:
             lo /= 4.0
         while excess(hi) < 0.0:
             hi *= 4.0
-        return float(brentq(excess, lo, hi, xtol=1e-15))
+        # excess rises with t (1/t^2 > sigma^2/sinh^2(sigma t)): bisect fully
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
+            mid = 0.5 * (lo + hi)
+        return float(mid)
 
     # -- short-time structure ------------------------------------------
 
@@ -303,8 +306,8 @@ class DampingKernel:
 
         out = np.empty(flat.shape, dtype=complex)
         # per chunk, the work array (updated in place, so that bulk calls
-        # churn no big temporaries) and its square root stay within 32 MB
-        chunk = max(1, 1_000_000 // bx.size)
+        # churn no big temporaries) and its square root stay within 8 MB
+        chunk = max(1, (1 << 18) // bx.size)
         for i0 in range(0, flat.size, chunk):
             a = self.decay_gap + 1j * flat[i0:i0 + chunk]
             # z^{-3/2} as 1/(z sqrt(z)), a third of the cost of np.power

@@ -206,7 +206,9 @@ def test_cli_rejects_malformed_count_and_cutoff(capsys, argv):
     ["transmission", "--epsilon-range", "0.5:inf:3"],
     ["cumulative", "--tau-range", "0:inf:3"],
     ["cumulative", "--tau-range=-5:3:4"],
-    ["traversal", "--tau-range=-5:3:4"]])
+    ["traversal", "--tau-range=-5:3:4"],
+    ["cumulative", "--tau-range", "-5:3:4"],
+    ["transmission", "--epsilon-range", "-1:2:4"]])
 def test_cli_rejects_malformed_range(capsys, argv):
     # energies must be positive, times nonnegative, both ends finite
     with pytest.raises(SystemExit) as info:
@@ -228,9 +230,9 @@ def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
 
 
 def test_cli_import_path_is_lean():
-    # scipy costs most of the import and only the cumulative curve and
-    # DampingKernel.peak_time call it; sweeps run serially, so no executor
-    # loads either.  A fresh interpreter shows what each import pulls in
+    # scipy costs most of the import and only the cumulative curve calls
+    # it; sweeps run serially, so no executor loads either.  A fresh
+    # interpreter shows what each import pulls in
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
     for module in ("qbarrier.cli", "qbarrier"):
         probe = (f"import {module}, sys; "

@@ -3,6 +3,10 @@ exponential expansion of sqrt(f), and its one-sided spectrum against a
 direct-quadrature oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbarrier
 from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
 from qbarrier.kernel import DampingKernel, _central_ratio
 from qbarrier.quadrature import integrate_adaptive
@@ -93,6 +98,18 @@ def test_peak_time_brackets_maximum():
     # the documented rise is second order in gamma/sigma
     assert f0 - 1.0 <= 2.0 * (STD.gamma / STD.sigma) ** 2
     assert DampingKernel(0.0, 100.0).peak_time() == 0.0
+
+
+def test_peak_time_loads_no_scipy_optimize():
+    # the peak is bisected in plain Python; a fresh interpreter on the same
+    # package copy shows what one call pulls in
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    probe = ("import sys; from qbarrier.kernel import DampingKernel; "
+             "DampingKernel(5e-3, 100.0).peak_time(); "
+             "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_f_strictly_decreasing_past_peak():

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
-from qbarrier.damped import amplitude_w_D
+from qbarrier.damped import amplitude_w_D, amplitude_w_D_height_sweep
 from qbarrier.errors import DomainError, WindowError
 from qbarrier.kernel import DampingKernel
 from qbarrier.traversal import (SpectralGrid, cumulative_amplitude,
@@ -206,9 +207,65 @@ def test_cumulative_clean_limit_matches_bare_distribution():
     assert np.max(np.abs(deriv - interp) / np.abs(interp)) < 0.08
 
 
+def _three_branch_cumulative(epsilon, width, kernel, taus, step, w_half):
+    """The earlier per-tau assembly of C_D, kept as a reference: exactly 0
+    at tau = 0, a plain trapezoid while w_half tau <= pi, and the
+    telescoped linear Filon sum beyond, on the same grid and heights."""
+    n_half = int(round(w_half / step))
+    grid = step * np.arange(-n_half, n_half + 1)
+    heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid)
+    h0 = complex(heights[n_half])
+    psi = np.empty_like(heights)
+    nonzero = grid != 0.0
+    psi[nonzero] = (heights[nonzero] - h0) / (math.pi * grid[nonzero])
+    psi[n_half] = (heights[n_half + 1] - heights[n_half - 1]) / (
+        2.0 * step * math.pi)
+    dpsi = np.diff(psi)
+    psi_edge_diff = psi[0] - psi[-1]
+    integrals = np.empty(taus.size, dtype=complex)
+    for idx, tau in enumerate(taus):
+        if tau == 0.0:
+            integrals[idx] = 0.0
+        elif w_half * tau <= math.pi:
+            vals = psi * np.sin(grid * tau)
+            integrals[idx] = step * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+        else:
+            sins = np.sin(grid * tau)
+            integrals[idx] = ((dpsi * np.diff(sins)).sum() / (tau * tau * step)
+                              + psi_edge_diff * math.cos(w_half * tau) / tau)
+    si_vals, _ = sici(w_half * taus)
+    return (1.0 + integrals / h0
+            - (2.0 / math.pi) * (0.5 * math.pi - si_vals))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 5e-3])
+@pytest.mark.parametrize("epsilon", [0.7, 1.3, 2.6])
+def test_cumulative_closed_filon_matches_three_branch_rule(gamma, epsilon):
+    # the closed sinc^2 sum is the same linear Filon integral as the
+    # telescoped sum; the earlier trapezoid below w_half tau = pi differs
+    # only by its own discretization error
+    kernel = DampingKernel(gamma, 100.0)
+    # five times up to pi / W, W = 409.6 being the grid's half-width here,
+    # and the whole set as one 2-D array
+    small = (math.pi / 409.6) * np.array([1e-3, 0.1, 0.5, 0.9, 1.0])
+    taus = np.concatenate([np.linspace(0.0, 30.0, 31), small]).reshape(6, 6)
+    res = cumulative_amplitude(epsilon, 5.0, kernel, taus)
+    assert res.values.shape == taus.shape
+    flat, values = taus.ravel(), res.values.ravel()
+    ref = _three_branch_cumulative(epsilon, 5.0, kernel, flat, res.step,
+                                   res.halfwidth)
+    gap = np.abs(values - ref)
+    oscillating = res.halfwidth * flat > math.pi
+    assert np.all(values[flat == 0.0] == 0.0)
+    assert np.max(gap[oscillating]) <= 1e-12
+    assert np.max(gap[~oscillating]) <= 1e-8
+
+
 def test_cumulative_input_validation():
     with pytest.raises(DomainError):
         cumulative_amplitude(1.3, 5.0, STD, np.array([-1.0, 2.0]))
+    with pytest.raises(DomainError):
+        cumulative_amplitude(1.3, 5.0, STD, [1.0, np.inf])
     # weak damping refines the step to decay_gap / 25, which would need
     # about 1.7e8 points per side here; refused before anything is built
     with pytest.raises(WindowError):

@@ -47,6 +47,8 @@ from .units import wave_numbers
 # imaginary part of kappa*d beyond which sin/cos are evaluated
 # asymptotically (they overflow near 700)
 _DEEP_IMAG = 200.0
+# round trips reflection_series_w sums before it gives up
+_SERIES_MAX_TERMS = 10000
 
 
 def _branch_sqrt(zsq: np.ndarray) -> np.ndarray:
@@ -165,7 +167,6 @@ def reflection_series_w(
     width: float,
     *,
     tol: float = 1e-12,
-    max_terms: int = 10000,
 ) -> SeriesApproximation:
     """Amplitude as the sum over internal reflection round trips.
 
@@ -193,7 +194,7 @@ def reflection_series_w(
     term = 1.0 + 0.0j
     total = 0.0 + 0.0j
     decay = arho
-    for n in range(max_terms):
+    for n in range(_SERIES_MAX_TERMS):
         total += term
         tail = apref * decay / (1.0 - arho)
         if tail <= tol:
@@ -201,7 +202,7 @@ def reflection_series_w(
         term *= rho
         decay *= arho
     raise NonConvergenceError(
-        f"series still above tol after {max_terms} terms",
+        f"series still above tol after {_SERIES_MAX_TERMS} terms",
         best_estimate=pref * total,
         error_estimate=apref * decay / (1.0 - arho))
 

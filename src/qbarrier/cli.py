@@ -7,7 +7,8 @@ parameters.  Output is CSV or JSON to stdout or a file.
 
 Exit codes: 0 clean, 2 bad usage (including an option the subcommand
 does not take, a nonpositive width, energy or bath cutoff, a negative
-time, an infinite range end, or a count below 1), 3 numerical failure
+time, an infinite range end, or a count below 1), 3 numerical failure,
+a negative damping rate among them, or one whose kernel is not finite
 (partial output is still written with failed cells as nan, and stderr
 gets their count and, for each failed column, the first exception).
 """
@@ -106,13 +107,10 @@ def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
 
 
 def _add_solver(sub: argparse.ArgumentParser):
-    """Options of the pointwise w_D solver, taken only by the transmission
-    sweeps."""
+    """Tolerance of the pointwise w_D solver, taken only by the
+    transmission sweeps."""
     sub.add_argument("--tol", type=_tol, default=1e-6,
                      help="per-point tolerance (default %(default)s)")
-    sub.add_argument("--threads", type=_at_least_one, default=1, metavar="N",
-                     help="accepted for compatibility; sweeps run serially "
-                     "and the value has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -180,15 +180,14 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     try:
         quad = integrate_adaptive(
             integrand, -cutoff, cutoff, 0.85 * tol * 2.0 * math.pi,
-            breakpoints=marks, panel_budget=8192)
+            breakpoints=marks)
     except NonConvergenceError as exc:
-        best = closed + complex(exc.best_estimate) / (2.0 * math.pi) \
-            if exc.best_estimate is not None else None
-        err = exc.error_estimate / (2.0 * math.pi) + tail \
-            if exc.error_estimate is not None else None
+        # on a finite range only the panel budget raises, with both values
         raise NonConvergenceError(
             f"spectral integral did not converge at epsilon {epsilon!r}",
-            best_estimate=best, error_estimate=err) from exc
+            best_estimate=closed + exc.best_estimate / (2.0 * math.pi),
+            error_estimate=exc.error_estimate / (2.0 * math.pi) + tail,
+        ) from exc
 
     value = closed + quad.value / (2.0 * math.pi)
     error = quad.error_estimate / (2.0 * math.pi) + tail

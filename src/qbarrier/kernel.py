@@ -75,15 +75,18 @@ def _central_binomials(count: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], (2.0 * n - 1.0) / (2.0 * n))))
 
 
-@lru_cache(maxsize=1)
-def _closure_terms(x: float) -> tuple:
-    """c(x) and the first three derivatives of log c at x, by the series."""
+def _closure_terms() -> tuple:
+    """c and the first three derivatives of log c at M, by the series."""
+    x = float(_SPECTRUM_BLOCK)
     l1, l2, l3 = -0.5 / x, 0.5 / x ** 2, -1.0 / x ** 3
     for k, d in zip(range(1, 2 * len(_LOG_RATIO), 2), _LOG_RATIO):
         l1 -= k * d * x ** (-k - 1)
         l2 += k * (k + 1) * d * x ** (-k - 2)
         l3 -= k * (k + 1) * (k + 2) * d * x ** (-k - 3)
     return float(_central_ratio(x)), l1, l2, l3
+
+
+_CLOSURE = _closure_terms()
 
 
 @lru_cache(maxsize=None)
@@ -123,18 +126,17 @@ class DampingKernel:
 
     gamma = 0 is the clean limit: ``f`` is identically 1 and everything
     spectral is disabled (the transform of a constant is not a function).
+    Non-finite gamma, Omega or sigma raises DegenerateKernelError.
     """
 
     gamma: float
     cutoff: float
 
     def __post_init__(self):
-        if not self.gamma >= 0.0:
+        if not (0.0 <= self.gamma < math.inf and 0.0 < self.cutoff < math.inf
+                and self.sigma < math.inf):
             raise DegenerateKernelError(
-                f"friction rate must be nonnegative, got {self.gamma!r}")
-        if not self.cutoff > 0.0:
-            raise DegenerateKernelError(
-                f"bath cutoff must be positive, got {self.cutoff!r}")
+                f"need finite gamma >= 0, cutoff > 0 and sigma, got {self!r}")
 
     @property
     def sigma(self) -> float:
@@ -302,7 +304,7 @@ class DampingKernel:
             n_panels, lo = n_panels + 1, 4.0 * lo
         nodes, wts = _spectrum_rule(n_panels)
         bx = b * nodes
-        cm, l1, l2, l3 = _closure_terms(float(_SPECTRUM_BLOCK))
+        cm, l1, l2, l3 = _CLOSURE
 
         out = np.empty(flat.shape, dtype=complex)
         # per chunk, the work array (updated in place, so that bulk calls

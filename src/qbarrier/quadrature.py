@@ -61,6 +61,9 @@ _W7[1:7:2] = _WG[:3]
 _W7[7] = _WG[3]
 _W7[9:15:2] = _WG[2::-1]
 
+# panels one integration may evaluate before it gives up
+_PANEL_BUDGET = 8192
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -124,7 +127,6 @@ def integrate_adaptive(
     tail_rate: float | None = None,
     breakpoints: Sequence[float] = (),
     max_panel_width: float | None = None,
-    panel_budget: int = 4096,
 ) -> QuadratureResult:
     """Integrate ``fn`` over [lo, hi] to absolute tolerance ``tol``.
 
@@ -136,8 +138,8 @@ def integrate_adaptive(
     ``max_panel_width`` caps the width of the seed panels, which is the
     cheap way to keep oscillatory integrands resolved from the start.
 
-    Raises NonConvergenceError, carrying the best estimate, if the error
-    target is still missed once the panel budget is spent.
+    Raises NonConvergenceError, carrying the best estimate and its error,
+    once ``_PANEL_BUDGET`` panels miss the target.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -183,7 +185,7 @@ def integrate_adaptive(
         heapq.heappush(heap, (-err, counter, a, b, val))
         counter += 1
 
-    while total_err > quad_tol and panels + 2 <= panel_budget:
+    while total_err > quad_tol and panels + 2 <= _PANEL_BUDGET:
         neg_err, _, a, b, val = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:

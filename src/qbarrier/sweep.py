@@ -5,9 +5,9 @@ time, or resonance index) plus one series per damping rate, with the
 clean ``g0`` baseline always present where it makes sense.  Complex
 quantities are emitted as magnitudes; that keeps the column schema flat
 and matches how the curves are plotted.  Failed points are recorded as
-NaN cells and counted, never silently dropped, and the first exception
-of each failed column is kept, so a caller can emit the partial table and
-still say what failed and why.
+NaN cells, never silently dropped; ``SweepResult.failures`` counts them
+off the table, and the first exception of each failed column is kept, so
+a caller can emit the partial table and still say what failed and why.
 
 Every sweep runs serially, point by point in input order.
 """
@@ -49,8 +49,12 @@ class SweepResult:
     table: np.ndarray
     params: dict
     errors: dict = field(default_factory=dict)
-    failures: int = 0
     reasons: dict = field(default_factory=dict)  # label -> first exception
+
+    @property
+    def failures(self) -> int:
+        """Failed cells, i.e. the NaN cells of the table."""
+        return int(np.count_nonzero(np.isnan(self.table)))
 
 
 def _with_baseline(gammas) -> list:
@@ -72,7 +76,6 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
     eps = np.asarray(epsilons, dtype=float)
     table = np.empty((eps.size, len(gammas)))
     errors, reasons = {}, {}
-    failures = 0
     for col, g in enumerate(gammas):
         label = gamma_label(g)
         if g == 0.0:
@@ -89,13 +92,12 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
             except QBarrierError as exc:
                 table[i, col] = math.nan
                 errs.append(math.nan)
-                failures += 1
                 reasons.setdefault(label, exc)
     params = dict(width=width, cutoff=cutoff, tol=tol,
                   gammas=gammas, n_points=eps.size)
     return SweepResult("transmission", "epsilon", eps,
                        [gamma_label(g) for g in gammas], table, params,
-                       errors, failures, reasons)
+                       errors, reasons)
 
 
 def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
@@ -105,7 +107,6 @@ def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
     eps = np.asarray(epsilons, dtype=float)
     table = np.empty((eps.size, 1))
     errs = []
-    failures = 0
     reasons = {}
     for i, e in enumerate(eps):
         try:
@@ -115,11 +116,10 @@ def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
         except QBarrierError as exc:
             table[i, 0] = math.nan
             errs.append(math.nan)
-            failures += 1
             reasons.setdefault("g0", exc)
     params = dict(width=width, n_points=eps.size)
     return SweepResult("mean_tau_deviation", "epsilon", eps, ["g0"],
-                       table, params, {"g0": errs}, failures, reasons)
+                       table, params, {"g0": errs}, reasons)
 
 
 def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
@@ -128,7 +128,6 @@ def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
     gammas = _with_baseline(gammas)
     taus = np.asarray(taus, dtype=float)
     table = np.empty((taus.size, len(gammas)))
-    failures = 0
     reasons = {}
     for col, g in enumerate(gammas):
         kernel = DampingKernel(g, cutoff)
@@ -137,13 +136,12 @@ def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
             table[:, col] = np.abs(res.values)
         except QBarrierError as exc:
             table[:, col] = math.nan
-            failures += taus.size
             reasons[gamma_label(g)] = exc
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
                   n_points=taus.size)
     return SweepResult("cumulative", "tau_star", taus,
                        [gamma_label(g) for g in gammas], table, params,
-                       failures=failures, reasons=reasons)
+                       reasons=reasons)
 
 
 def run_distribution(width: float, epsilon: float, tau_lo: float,
@@ -163,7 +161,6 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
     stride = max(1, int(round(idx.size / max(target_rows, 2))))
     idx = idx[::stride]
     table = np.empty((idx.size, len(gammas)))
-    failures = 0
     reasons = {}
     for col, g in enumerate(gammas):
         try:
@@ -175,13 +172,12 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
             table[:, col] = np.abs(dist.positive_values[idx])
         except QBarrierError as exc:
             table[:, col] = math.nan
-            failures += idx.size
             reasons[gamma_label(g)] = exc
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
                   window=grid.window, period=grid.period)
     return SweepResult("distribution", "tau_star", times[idx],
                        [gamma_label(g) for g in gammas], table, params,
-                       failures=failures, reasons=reasons)
+                       reasons=reasons)
 
 
 def run_resonances(width: float, count: int) -> SweepResult:

@@ -55,6 +55,8 @@ _SPAN_FACTOR = 8.0
 # when the kernel's slowest decay rate needs finer sampling
 _CUMULATIVE_HALFWIDTH = 409.6
 _CUMULATIVE_MAX_STEP = 0.0125
+# coarse height step of the derivative route to the mean traversal time
+_DERIVATIVE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,8 @@ class SpectralGrid:
     period: float = 96.0
 
     def __post_init__(self):
-        if not (self.window > 0.0 and self.period > 0.0):
+        if not (0.0 < self.window < math.inf
+                and 0.0 < self.period < math.inf):
             raise WindowError(f"inconsistent spectral grid: {self!r}")
 
     @property
@@ -209,13 +212,10 @@ def mean_traversal_closed(epsilon: float, width: float) -> complex:
     return complex((re_term + 1j * im_term) / width)
 
 
-def mean_traversal_derivative(epsilon: float, width: float, *,
-                              step: float = 1e-4) -> complex:
+def mean_traversal_derivative(epsilon: float, width: float) -> complex:
     """Mean traversal time from the height derivative of ``log w``,
     centered differences with one Richardson pass.  The workhorse
     cross-check for the closed form."""
-    if not 0.0 < step < 0.1:
-        raise DomainError(f"step out of range: {step!r}")
     bare = amplitude_w(float(epsilon), width)
 
     def central(h: float) -> complex:
@@ -223,8 +223,8 @@ def mean_traversal_derivative(epsilon: float, width: float, *,
         dn = amplitude_w_complex_height(epsilon, width, 1.0 - h)
         return (up - dn) / (2.0 * h * bare)
 
-    coarse = central(step)
-    fine = central(0.5 * step)
+    coarse = central(_DERIVATIVE_STEP)
+    fine = central(0.5 * _DERIVATIVE_STEP)
     return complex((2.0j / width) * (4.0 * fine - coarse) / 3.0)
 
 

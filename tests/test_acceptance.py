@@ -360,8 +360,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         a = tmp_path / f"{idx}_a.out"
         b = tmp_path / f"{idx}_b.out"
         assert main(argv + ["--out", str(a)]) == 0
-        extra = ["--threads", "2"] if argv[0] == "transmission" else []
-        assert main(argv + extra + ["--out", str(b)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
         if a.read_bytes() != b.read_bytes():
             identical = False
     _report(10, identical)

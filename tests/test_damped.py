@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 import qbarrier
+from qbarrier import quadrature
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
                               transmission_prob)
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
                              residual_spectrum, subtraction_ladder,
                              transmission_prob_D)
-from qbarrier.errors import (DegenerateKernelError, DomainError)
+from qbarrier.errors import (DegenerateKernelError, DomainError,
+                             NonConvergenceError)
 from qbarrier.kernel import DampingKernel
+from qbarrier.sweep import run_transmission
 from qbarrier.traversal import SpectralGrid, distribution_F_D
 
 STD = DampingKernel(5e-3, 100.0)
@@ -82,6 +85,27 @@ def test_tol_validation():
         amplitude_w_D(2.0, 5.0, STD, tol=0.0)
     with pytest.raises(DomainError):
         amplitude_w_D(2.0, 5.0, STD, tol=2e-3)
+
+
+def test_exhausted_budget_keeps_best_estimate_and_fails_one_cell(
+        monkeypatch):
+    # on its finite window the spectral integral fails only by spending
+    # the panel budget; at tol 1e-10 this point needs 64 panels, so 62
+    # leave its 60 seed panels one refinement and then run out
+    ref = amplitude_w_D(2.0, 5.0, STD, tol=1e-10)
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 62)
+    with pytest.raises(NonConvergenceError) as info:
+        amplitude_w_D(2.0, 5.0, STD, tol=1e-10)
+    err = info.value
+    assert math.isfinite(abs(err.best_estimate))
+    assert err.error_estimate > 1e-10
+    assert abs(err.best_estimate - ref.value) <= err.error_estimate
+    # a sweep writes that cell as nan, counts it and keeps its reason
+    res = run_transmission(5.0, [2.0], [5e-3], 100.0, tol=1e-10)
+    assert res.failures == 1
+    assert math.isfinite(res.table[0, 0]) and math.isnan(res.table[0, 1])
+    assert list(res.reasons) == ["g0.005"]
+    assert isinstance(res.reasons["g0.005"], NonConvergenceError)
 
 
 def test_weak_damping_continuity():

@@ -31,10 +31,11 @@ def test_sigma_frozen_values():
 
 
 def test_construction_validation():
-    with pytest.raises(DegenerateKernelError):
-        DampingKernel(-1e-3, 100.0)
-    with pytest.raises(DegenerateKernelError):
-        DampingKernel(5e-3, 0.0)
+    # gamma = 1e308 is finite, but sigma overflows
+    for gamma, cutoff in ((-1e-3, 100.0), (5e-3, 0.0), (math.inf, 100.0),
+                          (5e-3, math.inf), (1e308, 100.0)):
+        with pytest.raises(DegenerateKernelError):
+            DampingKernel(gamma, cutoff)
     clean = DampingKernel(0.0, 100.0)
     assert clean.sigma == 0.0
     assert clean.decay_gap == 0.0

@@ -53,7 +53,7 @@ def test_exponential_tail_truncation():
 def test_nonconvergence_carries_best_estimate():
     wild = lambda x: np.cos(2000.0 * x)
     with pytest.raises(NonConvergenceError) as info:
-        integrate_adaptive(wild, 0.0, 30.0, 1e-14, panel_budget=8)
+        integrate_adaptive(wild, 0.0, 30.0, 1e-14)
     err = info.value
     assert err.best_estimate is not None
     assert err.error_estimate > 1e-14

@@ -29,6 +29,9 @@ def test_spectral_grid_structure():
         SpectralGrid(window=-1.0)
     with pytest.raises(WindowError):
         SpectralGrid(period=1e9).n_samples
+    for bad in (dict(window=math.inf), dict(period=math.inf)):
+        with pytest.raises(WindowError):
+            SpectralGrid(**bad)
 
 
 def test_distribution_total_is_exactly_one():

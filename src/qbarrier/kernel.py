@@ -32,7 +32,7 @@ y = 1/sqrt(n).  It agrees with a 30-digit mpmath sum to 1.5e-15 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -126,17 +126,23 @@ class DampingKernel:
 
     gamma = 0 is the clean limit: ``f`` is identically 1 and everything
     spectral is disabled (the transform of a constant is not a function).
-    Non-finite gamma, Omega or sigma raises DegenerateKernelError.
+    Non-finite gamma or Omega, or sigma > 1e50, raises DegenerateKernelError.
     """
 
     gamma: float
     cutoff: float
+    # damped.amplitude_w_D's subtraction ladder and residual spectrum rows,
+    # built on first use and dropped with the kernel; outside ==, hash, repr
+    residual_table: dict = field(default_factory=dict, init=False,
+                                 compare=False, repr=False)
 
     def __post_init__(self):
+        # amplitude_w_D's omega^5 envelope overflows from sigma ~ 1e60
         if not (0.0 <= self.gamma < math.inf and 0.0 < self.cutoff < math.inf
-                and self.sigma < math.inf):
+                and self.sigma <= 1e50):
             raise DegenerateKernelError(
-                f"need finite gamma >= 0, cutoff > 0 and sigma, got {self!r}")
+                f"need finite gamma >= 0, cutoff > 0 and sigma <= 1e50, "
+                f"got {self!r}")
 
     @property
     def sigma(self) -> float:

@@ -248,12 +248,15 @@ def test_cli_import_path_is_lean():
 @pytest.mark.parametrize("argv", [
     ["cumulative", "--gamma-star", "inf"],
     ["transmission", "--epsilon-range", "1.2:1.3:2", "--gamma-star", "1e308"],
-    ["traversal", "--gamma-star", "inf"]],
-    ids=["cumulative", "transmission", "traversal"])
+    ["traversal", "--gamma-star", "inf"],
+    ["transmission", "--epsilon-range", "1.2:1.3:2", "--gamma-star", "1e58"],
+    ["cumulative", "--gamma-star", "1e100", "--tau-range", "0:3:4"]],
+    ids=["cumulative", "transmission", "traversal", "transmission-huge",
+         "cumulative-huge"])
 def test_cli_nonfinite_damping_fails_with_a_reason(capsys, argv):
-    # gamma = inf, or a finite gamma whose sigma overflows, is no kernel:
-    # the run exits 3 and says why, with no traceback and no table of
-    # unexplained nan cells
+    # gamma = inf, or a finite gamma whose sigma overflows or whose powers
+    # of sigma would, is no kernel: the run exits 3 and says why, with no
+    # traceback and no table of unexplained nan cells
     assert main(argv + ["--no-timestamp"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("qbarrier: ")

@@ -108,6 +108,55 @@ def test_exhausted_budget_keeps_best_estimate_and_fails_one_cell(
     assert isinstance(res.reasons["g0.005"], NonConvergenceError)
 
 
+def test_nonconvergence_reason_names_a_plain_float(monkeypatch):
+    # sweeps pass numpy scalars; the reason that reaches stderr must still
+    # read like the number the user asked for
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 62)
+    res = run_transmission(5.0, [2.0], [5e-3], 100.0, tol=1e-10)
+    reason = str(res.reasons["g0.005"])
+    assert "at epsilon 2.0" in reason
+    assert "np.float64" not in reason
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_sweep_sharing_a_kernel_matches_fresh_kernels(order):
+    # a sweep reuses one kernel, and so its residual table, across its
+    # energies; every cell and error must equal a call on a fresh kernel
+    eps = np.array([0.7, 1.2, 1.3, 1.75, 2.6])[::order]
+    res = run_transmission(5.0, eps, [1e-3, 5e-3], 100.0)
+    for col, g in ((1, 1e-3), (2, 5e-3)):
+        for i, e in enumerate(eps):
+            ref = amplitude_w_D(e, 5.0, DampingKernel(g, 100.0))
+            assert res.table[i, col] == abs(ref.value) ** 2
+            assert res.errors[f"g{g:g}"][i] == (
+                2.0 * abs(ref.value) * ref.error_estimate)
+
+
+def test_residual_table_rows_are_their_own_15_node_calls():
+    # the spectrum picks its rule from the peak |omega| of each call, so
+    # a row computed in a larger batch could differ in the last bits; at
+    # weak damping the rule changes within the window
+    kernel = DampingKernel(1e-5, 10.0)
+    for e in (1.3, 2.0):
+        amplitude_w_D(e, 5.0, kernel)
+    ladder = subtraction_ladder(kernel)
+    rows = {k: v for k, v in kernel.residual_table.items() if k != "ladder"}
+    assert len(rows) > 40
+    for key, row in rows.items():
+        nodes = np.frombuffer(key)
+        assert nodes.shape == (15,)
+        assert np.array_equal(row, residual_spectrum(kernel, ladder, nodes))
+
+
+def test_used_kernel_equals_hashes_and_prints_like_a_new_one():
+    used, fresh = DampingKernel(5e-3, 100.0), DampingKernel(5e-3, 100.0)
+    amplitude_w_D(1.3, 5.0, used)
+    assert used.residual_table and not fresh.residual_table
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == (
+        "DampingKernel(gamma=0.005, cutoff=100.0)")
+
+
 def test_weak_damping_continuity():
     # the deviation from the bare amplitude must scale linearly in gamma
     # all the way down, with no numerical floor

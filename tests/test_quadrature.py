@@ -86,3 +86,31 @@ def test_zero_width_range():
     res = integrate_adaptive(lambda x: np.ones_like(x), 2.0, 2.0, 1e-10)
     assert res.value == 0.0
     assert res.panels_used == 0
+
+
+def test_panels_arrive_in_batches():
+    # all seed panels in one (P, 15) call, then each bisection's two
+    # halves in one (2, 15) call
+    shapes = []
+
+    def spike(x):
+        shapes.append(np.shape(x))
+        return np.exp(-((x - 0.2) / 1e-2) ** 2)
+
+    res = integrate_adaptive(spike, -1.0, 1.0, 1e-12,
+                             breakpoints=[-0.5, 0.0, 0.5])
+    assert res.panels_used > 4
+    assert shapes == [(4, 15)] + [(2, 15)] * ((res.panels_used - 4) // 2)
+
+
+def test_tail_probe_passes_a_flat_array():
+    shapes = []
+
+    def decay(x):
+        shapes.append(np.shape(x))
+        return np.exp(-0.5 * x)
+
+    integrate_adaptive(decay, 0.0, math.inf, 1e-10, tail_rate=0.5)
+    probes = [s for s in shapes if len(s) == 1]
+    assert probes and shapes[:len(probes)] == probes
+    assert shapes[len(probes)] == (1, 15)

@@ -174,8 +174,14 @@ def distribution_F_D(epsilon: float, width: float, kernel: DampingKernel, *,
 
     The renormalization constant is stored as ``suppression`` and must
     reproduce the ratio of suppressed to bare amplitude computed by the
-    independent spectral route.
+    independent spectral route.  Raises WindowError once the kernel's
+    decay rate reaches the window width, which then cannot resolve it.
     """
+    grid = grid or SpectralGrid()
+    if kernel.decay_gap >= grid.window:
+        raise WindowError(
+            f"kernel decay rate {kernel.decay_gap:.6g} reaches the spectral "
+            f"window {grid.window!r}; the window cannot resolve it")
     base = distribution_F(epsilon, width, grid=grid)
     weight = kernel.sqrt_f(np.abs(base.signed_times))
     weighted = weight * base.values

@@ -77,12 +77,20 @@ def resonance_energies(width: float, count: int) -> np.ndarray:
     reduced width ``width = d / lambda0``.
 
     These are the energies where the internal phase accumulates a multiple
-    of pi, ``epsilon_n = 1 + (n pi / width)**2``.
+    of pi, ``epsilon_n = 1 + (n pi / width)**2``.  Raises DomainError
+    unless every one of them is finite and above 1.
     """
     if not width > 0.0:
         raise DomainError(f"width must be positive, got {width!r}")
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count!r}")
     n = np.arange(1, count + 1, dtype=float)
-    return 1.0 + (n * math.pi / width) ** 2
+    with np.errstate(over="ignore"):
+        eps = 1.0 + (n * math.pi / width) ** 2
+    # ascending in n: the first is the lowest, the last the highest
+    if not (eps[0] > 1.0 and eps[-1] < math.inf):
+        raise DomainError(
+            f"{count} resonance energies of width {width!r} are not all "
+            "finite and above 1")
+    return eps
 

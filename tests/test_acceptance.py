@@ -21,7 +21,6 @@ from qbarrier.barrier import (amplitude_w, reflection_series_w,
                               transfer_matrix_w, transmission_prob)
 from qbarrier.damped import amplitude_w_D
 from qbarrier.kernel import DampingKernel
-from qbarrier.quadrature import integrate_adaptive
 from qbarrier.sweep import format_csv, run_transmission
 from qbarrier.traversal import (SpectralGrid, cumulative_amplitude,
                                 distribution_F, distribution_F_D,
@@ -104,7 +103,7 @@ def test_criterion_03_mean_time_dual_route():
     assert res_ok and anti_ok
 
 
-def test_criterion_04_kernel_correctness():
+def test_criterion_04_kernel_correctness(spectrum_oracle):
     kernels = [DampingKernel(1e-3, CUTOFF), DampingKernel(5e-3, CUTOFF)]
     mono_ok = True
     ident_ok = True
@@ -130,10 +129,7 @@ def test_criterion_04_kernel_correctness():
     for kernel in kernels:
         series_vals = kernel.sqrt_f_spectrum(omegas)
         for om, sv in zip(omegas, series_vals):
-            fn = lambda t: kernel.sqrt_f(t) * np.exp(-1j * om * t)
-            direct = integrate_adaptive(
-                fn, 0.0, math.inf, 1e-11, tail_rate=kernel.decay_gap,
-                max_panel_width=2.0 / max(abs(om), 0.25)).value
+            direct = spectrum_oracle(kernel, om, 1e-11)
             worst_spec = max(worst_spec, abs(sv - direct) / abs(direct))
 
     ok = mono_ok and ident_ok and worst_spec <= 1e-8

@@ -271,3 +271,29 @@ def test_cli_numerical_failure_exit_code(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "qbarrier" in err
+
+
+def test_cli_traversal_fails_a_kernel_its_window_cannot_resolve(capsys):
+    # gamma = 10 decays at 632/tau_star against the default window of 60;
+    # the factorized distribution printed 128.2 at tau = 0 and 0 after
+    code = main(["traversal", "--gamma-star", "10", "--tau-range", "0:3:4",
+                 "--no-timestamp"])
+    assert code == 3
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == ["tau_star", "g0", "g10"]
+    assert all(math.isnan(float(row[2])) for row in rows[1:])
+    assert "\nqbarrier: g10: WindowError: " in captured.err
+
+
+@pytest.mark.parametrize("width", ["1e-300", "1e300"])
+def test_cli_resonances_need_energies_above_the_barrier(capsys, width):
+    # 1e-300 overflows every resonance energy to inf and 1e300 rounds it
+    # to exactly 1: no table, one reason, no numpy warning
+    assert main(["resonances", "--d-over-lambda0", width,
+                 "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("qbarrier: ")

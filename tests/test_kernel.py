@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import qbarrier
 from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
 from qbarrier.kernel import DampingKernel, _central_ratio
-from qbarrier.quadrature import integrate_adaptive
 from qbarrier.units import MASS
 
 STD = DampingKernel(5e-3, 100.0)
@@ -224,22 +223,12 @@ def test_spectrum_rejects_nonfinite_omega():
             STD.sqrt_f_spectrum(bad)
 
 
-def _spectrum_oracle(kernel, omega, tol=1e-11):
-    """Direct quadrature of the defining transform, independent of the
-    series evaluation under test."""
-    fn = lambda t: kernel.sqrt_f(t) * np.exp(-1j * omega * t)
-    res = integrate_adaptive(fn, 0.0, math.inf, tol,
-                             tail_rate=kernel.decay_gap,
-                             max_panel_width=2.0 / max(abs(omega), 0.25))
-    return res.value
-
-
 @pytest.mark.parametrize("gamma", [1e-3, 5e-3])
 @pytest.mark.parametrize("omega", [0.0, 0.5, -7.3, 31.0, 50.0])
-def test_spectrum_against_quadrature(gamma, omega):
+def test_spectrum_against_quadrature(gamma, omega, spectrum_oracle):
     kernel = DampingKernel(gamma, 100.0)
     got = kernel.sqrt_f_spectrum(omega)
-    want = _spectrum_oracle(kernel, omega)
+    want = spectrum_oracle(kernel, omega, 1e-11)
     assert abs(got - want) <= 1e-8 * abs(want)
 
 

@@ -9,8 +9,7 @@ barrier height, times in units of tau_star = width / 2.  See
 __version__ = "0.1.0"
 
 from .barrier import (amplitude_w, amplitude_w_complex_height,
-                      reflection_series_w, transfer_matrix_w,
-                      transmission_from_green, transmission_prob)
+                      transmission_prob)
 from .damped import amplitude_w_D, subtraction_ladder, transmission_prob_D
 from .errors import (DegenerateKernelError, DegenerateSuppressionError,
                      DomainError, NonConvergenceError, PoleError,
@@ -40,11 +39,8 @@ __all__ = [
     "distribution_F_D",
     "mean_traversal_closed",
     "mean_traversal_derivative",
-    "reflection_series_w",
     "resonance_energies",
     "subtraction_ladder",
-    "transfer_matrix_w",
-    "transmission_from_green",
     "transmission_prob",
     "transmission_prob_D",
     "wave_numbers",

@@ -19,14 +19,9 @@ the code switches to the asymptotic form
 
     w ~ 4 k kappa e^{-i k d} e^{i kappa d} / (k + kappa)^2 .
 
-The alternative routes exist as cross-checks and should never be mixed
-into production sweeps:
-
-* :func:`transfer_matrix_w` chains interface and propagation matrices,
-* :func:`reflection_series_w` sums the multiple internal reflections,
-* :func:`assemble_transmission_green` glues hard-wall region propagators
-  with local junction corrections and reproduces ``w`` times the free
-  propagator.
+:func:`transfer_matrix_w` chains interface and propagation matrices, a
+cross-check that stays here because ``perfbench/workloads.py`` imports
+it from this module; the other routes live in :mod:`qbarrier.reference`.
 
 ``w`` is also needed at complex barrier height (evaluations shifted by a
 complex energy); :func:`amplitude_w_complex_height` exposes that without
@@ -36,19 +31,15 @@ duplicating the core.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, PoleError
+from .errors import DomainError
 from .units import wave_numbers
 
 # imaginary part of kappa*d beyond which sin/cos are evaluated
 # asymptotically (they overflow near 700)
 _DEEP_IMAG = 200.0
-# round trips reflection_series_w sums before it gives up
-_SERIES_MAX_TERMS = 10000
 
 
 def _branch_sqrt(zsq: np.ndarray) -> np.ndarray:
@@ -62,9 +53,11 @@ def _csinc(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
     zsafe = np.where(small, 1.0, z)
-    z2 = z * z
-    return np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0,
-                    np.sin(zsafe) / zsafe)
+    out = np.asarray(np.sin(zsafe) / zsafe)
+    # the series on the small entries only: z^4 overflows from |z| ~ 1e77
+    z2 = z[small] * z[small]
+    out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    return out
 
 
 def _w_from_ksq(k, ksq, width: float) -> np.ndarray:
@@ -151,175 +144,3 @@ def transfer_matrix_w(epsilon: float, width: float) -> complex:
     ])
     m = m_in @ phase @ m_out
     return cmath.exp(-1j * k * width) / m[0, 0]
-
-
-@dataclass(frozen=True)
-class SeriesApproximation:
-    """Partial sum of a convergent expansion with its remainder bound."""
-
-    value: complex
-    terms_used: int
-    tail_bound: float
-
-
-def reflection_series_w(
-    epsilon: float,
-    width: float,
-    *,
-    tol: float = 1e-12,
-) -> SeriesApproximation:
-    """Amplitude as the sum over internal reflection round trips.
-
-    Each round trip multiplies the amplitude by
-    ``rho = r**2 exp(2 i kappa d)`` with the single-interface reflection
-    coefficient ``r = (kappa - k) / (kappa + k)``.  Above the barrier
-    ``|r| < 1`` and below it the round-trip phase decays, so the series
-    converges everywhere except at ``epsilon = 1`` where ``|rho| = 1``;
-    that case raises NonConvergenceError.  The geometric remainder bound
-    is returned alongside the partial sum.
-    """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    _check_inputs(epsilon, width)
-    k, kappa = wave_numbers(float(epsilon))
-    pref = (cmath.exp(-1j * k * width) * 4.0 * k * kappa
-            / (k + kappa) ** 2 * cmath.exp(1j * kappa * width))
-    rho = ((kappa - k) / (kappa + k)) ** 2 * cmath.exp(2j * kappa * width)
-    arho = abs(rho)
-    if arho >= 1.0:
-        raise NonConvergenceError(
-            f"round-trip factor has modulus {arho:.6f}, series diverges "
-            f"(epsilon = {epsilon!r})")
-    apref = abs(pref)
-    term = 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    decay = arho
-    for n in range(_SERIES_MAX_TERMS):
-        total += term
-        tail = apref * decay / (1.0 - arho)
-        if tail <= tol:
-            return SeriesApproximation(pref * total, n + 1, tail)
-        term *= rho
-        decay *= arho
-    raise NonConvergenceError(
-        f"series still above tol after {_SERIES_MAX_TERMS} terms",
-        best_estimate=pref * total,
-        error_estimate=apref * decay / (1.0 - arho))
-
-
-# ---------------------------------------------------------------------------
-# Region propagators with hard walls at the barrier edges, and their
-# assembly into the full transmission amplitude.  The three propagators
-# vanish at the walls and carry outgoing conditions at infinity; each has
-# derivative jump -1 at coincidence in the units used here.
-# ---------------------------------------------------------------------------
-
-def green_free(epsilon: float, x: float, xp: float) -> complex:
-    """Free outgoing propagator between two points."""
-    k = math.sqrt(epsilon)
-    return 0.5j / k * cmath.exp(1j * k * abs(x - xp))
-
-
-def green_left(epsilon: float, x: float, xp: float) -> complex:
-    """Propagator left of the barrier with a hard wall at x = 0."""
-    if x > 0.0 or xp > 0.0:
-        raise DomainError("green_left needs both points at x <= 0")
-    k = math.sqrt(epsilon)
-    lo, hi = min(x, xp), max(x, xp)
-    return -1.0 / k * cmath.exp(-1j * k * lo) * math.sin(k * hi)
-
-
-def green_inside(epsilon: float, width: float, x: float, xp: float) -> complex:
-    """Propagator inside the barrier with hard walls at both edges.
-
-    Has true poles at the hard-wall eigenmodes ``kappa * width = n pi``;
-    those raise PoleError rather than returning an overflow.
-    """
-    if not (0.0 <= x <= width and 0.0 <= xp <= width):
-        raise DomainError("green_inside needs both points in [0, width]")
-    _, kappa = wave_numbers(float(epsilon))
-    s = cmath.sin(kappa * width)
-    if abs(s) < 1e-13:
-        raise PoleError("evaluation at an internal hard-wall mode")
-    lo, hi = min(x, xp), max(x, xp)
-    return -cmath.sin(kappa * lo) * cmath.sin(kappa * (hi - width)) / (kappa * s)
-
-
-def green_right(epsilon: float, width: float, x: float, xp: float) -> complex:
-    """Propagator right of the barrier with a hard wall at x = width."""
-    if x < width or xp < width:
-        raise DomainError("green_right needs both points at x >= width")
-    k = math.sqrt(epsilon)
-    lo, hi = min(x, xp), max(x, xp)
-    return (1.0 / k * cmath.exp(1j * k * (hi - width))
-            * math.sin(k * (lo - width)))
-
-
-def assemble_transmission_green(
-    epsilon: float,
-    width: float,
-    x_source: float,
-    x_detect: float,
-    *,
-    order: int | None = None,
-) -> complex:
-    """Full propagator from a source left of the barrier to a detector
-    right of it, assembled from restricted propagators and local junction
-    corrections at the two edges.
-
-    The two-edge system closes into a 2 x 2 linear problem: ``V`` holds
-    the wall-to-wall legs through the interior, the diagonal ``X`` the
-    local excursion weight at an edge, and the resummed junction matrix is
-    ``M = V (1 - X V)^{-1}``.  With ``order=n`` the geometric resummation
-    is replaced by its partial sum through ``n`` extra round trips, which
-    converges only where the spectral radius of ``X V`` is below one
-    (away from the hard-wall modes).
-    """
-    if not x_source < 0.0:
-        raise DomainError("source must sit left of the barrier")
-    if not x_detect > width:
-        raise DomainError("detector must sit right of the barrier")
-    _check_inputs(epsilon, width)
-    k, kappa = wave_numbers(float(epsilon))
-    s = cmath.sin(kappa * width)
-    c = cmath.cos(kappa * width)
-    if abs(s) < 1e-13:
-        raise PoleError("junction blocks are singular at a hard-wall mode")
-    # the junction gauge fixes only the product of leg and excursion
-    # factors; this split (negative legs, excursion -ik) makes the
-    # transparent-barrier limit come out as the free propagator exactly
-    alpha = -kappa / (k * k * s)
-    legs = np.array([[-c * alpha, alpha], [alpha, -c * alpha]])
-    if order is None:
-        m = np.linalg.solve(np.eye(2) + 1j * k * legs, legs)
-    else:
-        if order < 0:
-            raise DomainError("order must be nonnegative")
-        term = legs.copy()
-        m = legs.copy()
-        for _ in range(order):
-            term = term @ (-1j * k * legs)
-            m = m + term
-    hit = cmath.exp(-1j * k * x_source)
-    emit = cmath.exp(1j * k * (x_detect - width))
-    return hit * m[0, 1] * emit
-
-
-def transmission_from_green(
-    epsilon: float,
-    width: float,
-    x_source: float = -1.7,
-    x_detect: float | None = None,
-    *,
-    order: int | None = None,
-) -> complex:
-    """Amplitude ratio recovered from the assembled propagator.
-
-    Divides out the free propagator between the same two points; the
-    result must not depend on where source and detector sit.
-    """
-    if x_detect is None:
-        x_detect = width + 2.3
-    g = assemble_transmission_green(
-        epsilon, width, x_source, x_detect, order=order)
-    return g / green_free(epsilon, x_source, x_detect)

@@ -115,7 +115,11 @@ def _phase_breakpoints(epsilon: float, width: float, start: float,
     theta = theta_of(lo)
     while True:
         theta += 0.5 * math.pi
-        om = 0.5 * width * ((theta / width) ** 2 - (epsilon - 1.0))
+        try:
+            om = 0.5 * width * ((theta / width) ** 2 - (epsilon - 1.0))
+        except OverflowError:
+            raise DomainError(f"width {width!r} is too small for the spectral "
+                              "route: its phase marks overflow") from None
         if om >= stop:
             break
         marks.append(om)

@@ -34,12 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateKernelError, DomainError, PoleError
-from .units import MASS
+from .errors import DegenerateKernelError, DomainError
 
 # x/sinh(x) = sum_m U_COEFFS[m] x^(2m)
 _U_COEFFS = (1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0,
@@ -112,14 +110,6 @@ def _spectrum_rule(n_panels: int) -> tuple:
     return nodes, weights
 
 
-class CLCoefficients(NamedTuple):
-    """Time dependent coefficients of the quadratic influence phase."""
-
-    symmetric: np.ndarray
-    decaying: np.ndarray
-    growing: np.ndarray
-
-
 @dataclass(frozen=True)
 class DampingKernel:
     """Ohmic bath with a sharp cutoff, in reduced 1/tau_star rates.
@@ -175,57 +165,6 @@ class DampingKernel:
         out = np.sqrt(self.f(t))
         return float(out) if np.ndim(out) == 0 else out
 
-    def propagator_coefficients(self, t) -> CLCoefficients:
-        """The three influence coefficients at times t > 0.
-
-        Each carries one factor of the particle mass, so in the clean
-        limit all three reduce to the free-particle ``m / (2t)`` and in
-        general ``f(t) = (2 t / m) * growing(t)`` holds identically.  The
-        short-time pole makes t = 0 invalid.
-        """
-        t = np.asarray(t, dtype=float)
-        if not np.all(t > 0.0):
-            raise PoleError("influence coefficients diverge at t <= 0")
-        if self.gamma == 0.0:
-            half = MASS * 0.5 / t
-            return CLCoefficients(half, half, half)
-        sig = self.sigma
-        den = -np.expm1(-2.0 * sig * t)
-        sym = MASS * 0.5 * sig * (1.0 + np.exp(-2.0 * sig * t)) / den
-        dec = MASS * sig * np.exp(-(self.gamma + sig) * t) / den
-        gro = MASS * sig * np.exp((self.gamma - sig) * t) / den
-        return CLCoefficients(sym, dec, gro)
-
-    def peak_time(self) -> float:
-        """Location of the (tiny) maximum of f; 0.0 in the clean limit.
-
-        f grows on [0, t0] with total rise of order (gamma/sigma)^2 and
-        only decays monotonically beyond t0, so grids probing the decay
-        should start past this point.
-        """
-        if self.gamma == 0.0:
-            return 0.0
-        sig = self.sigma
-
-        def excess(t: float) -> float:
-            x = sig * t
-            if x < 1e-3:
-                # sigma coth(sigma t) - 1/t = sigma^2 t/3 - sigma^4 t^3/45
-                return sig * x / 3.0 - sig * x ** 3 / 45.0 - self.gamma
-            return sig / math.tanh(x) - 1.0 / t - self.gamma
-
-        lo = hi = 3.0 * self.gamma / sig ** 2
-        while excess(lo) > 0.0:
-            lo /= 4.0
-        while excess(hi) < 0.0:
-            hi *= 4.0
-        # excess rises with t (1/t^2 > sigma^2/sinh^2(sigma t)): bisect fully
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            lo, hi = (lo, mid) if excess(mid) > 0.0 else (mid, hi)
-            mid = 0.5 * (lo + hi)
-        return float(mid)
-
     # -- short-time structure ------------------------------------------
 
     def taylor_sqrt_f(self, order: int = 4) -> np.ndarray:
@@ -253,27 +192,7 @@ class DampingKernel:
             pk[kk] = 0.5 * (fk[kk] - conv)
         return pk * np.array([math.factorial(p) for p in range(order + 1)])
 
-    # -- exponential representation and spectrum ------------------------
-
-    def series_coefficients(self, n_terms: int):
-        """Amplitudes and rates of the exponential expansion of sqrt(f)."""
-        if self.gamma == 0.0:
-            raise DegenerateKernelError(
-                "clean limit has no exponential expansion")
-        if n_terms < 1:
-            raise DomainError("n_terms must be at least 1")
-        rates = self.decay_gap + 2.0 * self.sigma * np.arange(n_terms)
-        return _central_binomials(n_terms), rates
-
-    def sqrt_f_series(self, t, n_terms: int):
-        """Partial sum of the exponential expansion, for cross-checks."""
-        t = np.asarray(t, dtype=float)
-        if not np.all(t > 0.0):
-            raise DomainError("the expansion holds for t > 0")
-        amps, rates = self.series_coefficients(n_terms)
-        acc = np.sqrt(2.0 * self.sigma * t) * (
-            amps * np.exp(-np.multiply.outer(t, rates))).sum(axis=-1)
-        return float(acc) if acc.ndim == 0 else acc
+    # -- spectrum of the exponential representation ---------------------
 
     def sqrt_f_spectrum(self, omega):
         """One-sided transform ``integral_0^inf sqrt(f(t)) e^{-i omega t} dt``.

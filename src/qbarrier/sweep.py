@@ -185,17 +185,20 @@ def run_resonances(width: float, count: int) -> SweepResult:
     time, and the transmission probability (should be exactly 1)."""
     eps = resonance_energies(width, count)
     table = np.empty((eps.size, 4))
+    reasons = {}
     for i, e in enumerate(eps):
-        kd = math.sqrt(e - 1.0) * width / math.pi
-        mean = mean_traversal_closed(float(e), width)
-        table[i, 0] = kd
-        table[i, 1] = mean.real
+        table[i, 0] = math.sqrt(e - 1.0) * width / math.pi
+        try:
+            table[i, 1] = mean_traversal_closed(float(e), width).real
+        except QBarrierError as exc:
+            table[i, 1] = math.nan
+            reasons.setdefault("mean_tau_star", exc)
         table[i, 2] = classical_crossing_time(float(e))
         table[i, 3] = transmission_prob(float(e), width)
     params = dict(width=width, count=count)
     return SweepResult("resonances", "epsilon", eps,
                        ["kd_over_pi", "mean_tau_star", "tau_cl_star",
-                        "transmission"], table, params)
+                        "transmission"], table, params, reasons=reasons)
 
 
 # -- serialization ---------------------------------------------------------

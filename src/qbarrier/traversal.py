@@ -140,12 +140,6 @@ class TraversalDistribution:
         return complex(
             self.step * (self.signed_times ** order * self.values).sum())
 
-    def negative_leakage(self) -> float:
-        """Largest magnitude on strictly negative signed times; a window
-        floor check, not physics."""
-        mask = self.signed_times < 0.0
-        return float(np.max(np.abs(self.values[mask])))
-
 
 def distribution_F(epsilon: float, width: float, *,
                    grid: SpectralGrid | None = None) -> TraversalDistribution:

@@ -35,8 +35,6 @@ import numpy as np
 
 from .errors import DomainError
 
-MASS = 0.5
-
 
 class WaveNumbers(NamedTuple):
     """Wave numbers in 1/lambda0 units: k outside the barrier, kappa inside."""

@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
-                              assemble_transmission_green, green_free,
-                              green_inside, green_left, green_right,
-                              reflection_series_w, transfer_matrix_w,
-                              transmission_from_green, transmission_prob)
+                              transfer_matrix_w, transmission_prob)
 from qbarrier.errors import (DomainError, NonConvergenceError, PoleError)
+from qbarrier.reference import (assemble_transmission_green, green_free,
+                                green_inside, green_left, green_right,
+                                reflection_series_w, transmission_from_green)
 
 
 def test_transmission_frozen_value():
@@ -94,6 +94,15 @@ def test_deep_tunneling_asymptotic_branch():
         series = reflection_series_w(eps, width, tol=1e-250)
         assert w == pytest.approx(series.value, rel=1e-10)
     assert amplitude_w(0.5, 1e5) == 0.0  # underflow, not overflow
+
+
+def test_huge_phase_raises_no_warning():
+    # sin(z)/z evaluated its small-z series on every entry, and z^4
+    # overflowed with a RuntimeWarning once |kappa d| passed about 1e77.
+    # The values never came from the series, so they stay what they were
+    assert amplitude_w(1e300, 5.0) == (1 - 8.092711468118e-17j)
+    assert amplitude_w(1.2, 1e300) == (
+        0.8524557183718691 + 0.36574997713935964j)
 
 
 def test_complex_height_reduces_to_real():
@@ -178,17 +187,6 @@ def test_assembled_green_detector_independence():
     ref = transmission_from_green(eps, width, -0.7, width + 0.9)
     other = transmission_from_green(eps, width, -8.1, width + 6.3)
     assert other == pytest.approx(ref, rel=1e-11)
-
-
-def test_assembled_green_finite_order_resummation():
-    # partial sums of the junction round trips walk toward the resummed
-    # answer where the spectral radius is below one
-    eps, width = 0.9, 5.0
-    ref = transmission_from_green(eps, width)
-    errs = [abs(transmission_from_green(eps, width, order=n) - ref)
-            for n in (0, 8, 16, 32)]
-    assert errs[-1] <= 1e-8 * abs(ref)
-    assert errs == sorted(errs, reverse=True)
 
 
 def test_green_domain_checks():

@@ -297,3 +297,62 @@ def test_cli_resonances_need_energies_above_the_barrier(capsys, width):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("qbarrier: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["transmission", "--epsilon-range", "1.2:1.3:2", "--gamma-star", "5e-3",
+     "--d-over-lambda0", "1e-200"],
+    ["figure3", "--d-over-lambda0", "1e-300"]],
+    ids=["transmission", "figure3"])
+def test_cli_tiny_width_fails_the_damped_cells(capsys, argv):
+    # the quarter-phase marks of the spectral route overflowed a Python
+    # float into a traceback; now each damped cell fails with a reason
+    # and the clean column is still written
+    assert main(argv + ["--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()
+            if not line.startswith("#")]
+    assert rows[0][:2] == ["epsilon", "g0"] and len(rows[0]) > 2
+    assert all(float(row[1]) == pytest.approx(1.0, abs=1e-15)
+               for row in rows[1:])
+    assert all(math.isnan(float(cell)) for row in rows[1:] for cell in row[2:])
+    for label in rows[0][2:]:
+        assert f"\nqbarrier: {label}: DomainError: width " in captured.err
+
+
+def test_cli_resonances_keep_the_columns_that_have_values(capsys):
+    # from d_hat ~ 3e4 every epsilon_n - 1 falls below the closed mean's
+    # 1e-8 guard; only that column fails, the table is still written
+    assert main(["resonances", "--d-over-lambda0", "1e8",
+                 "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == ["epsilon", "kd_over_pi", "mean_tau_star",
+                       "tau_cl_star", "transmission"]
+    assert len(rows) == 5
+    for row in rows[1:]:
+        cells = [float(cell) for cell in row]
+        assert math.isnan(cells[2])
+        assert all(math.isfinite(cells[j]) for j in (0, 1, 3, 4))
+    assert ("\nqbarrier: mean_tau_star: DomainError: closed mean is "
+            "indeterminate") in captured.err
+
+
+def test_cli_runs_without_the_reference_module():
+    # the cross-check routes live in qbarrier.reference, which only the
+    # tests import; a fresh interpreter on the same package copy runs
+    # three subcommands and shows the module never loads
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    probe = (
+        "import os, sys, qbarrier, qbarrier.cli; "
+        "argvs = [['resonances'], ['figure4'], ['transmission', "
+        "'--epsilon-range', '1.2:1.4:3', '--gamma-star', '5e-3']]; "
+        "codes = [qbarrier.cli.main(a + ['--out', os.devnull]) "
+        "for a in argvs]; "
+        "print(codes, 'qbarrier.reference' in sys.modules, "
+        "[n for n in qbarrier.__all__ if getattr(getattr(qbarrier, n), "
+        "'__module__', None) == 'qbarrier.reference'])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0, 0] False []"

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import qbarrier
 from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
 from qbarrier.kernel import DampingKernel, _central_ratio
-from qbarrier.units import MASS
+from qbarrier.reference import (MASS, peak_time, propagator_coefficients,
+                                series_coefficients, sqrt_f_series)
 
 STD = DampingKernel(5e-3, 100.0)
 
@@ -90,14 +91,14 @@ def test_f_rejects_negative_times():
 
 
 def test_peak_time_brackets_maximum():
-    t0 = STD.peak_time()
+    t0 = peak_time(STD)
     assert t0 > 0.0
     f0 = STD.f(t0)
     assert f0 >= STD.f(t0 * 0.97)
     assert f0 >= STD.f(t0 * 1.03)
     # the documented rise is second order in gamma/sigma
     assert f0 - 1.0 <= 2.0 * (STD.gamma / STD.sigma) ** 2
-    assert DampingKernel(0.0, 100.0).peak_time() == 0.0
+    assert peak_time(DampingKernel(0.0, 100.0)) == 0.0
 
 
 def test_peak_time_loads_no_scipy_optimize():
@@ -105,7 +106,8 @@ def test_peak_time_loads_no_scipy_optimize():
     # package copy shows what one call pulls in
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
     probe = ("import sys; from qbarrier.kernel import DampingKernel; "
-             "DampingKernel(5e-3, 100.0).peak_time(); "
+             "from qbarrier.reference import peak_time; "
+             "peak_time(DampingKernel(5e-3, 100.0)); "
              "print('scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
                          capture_output=True, text=True).stdout
@@ -113,7 +115,7 @@ def test_peak_time_loads_no_scipy_optimize():
 
 
 def test_f_strictly_decreasing_past_peak():
-    t0 = STD.peak_time()
+    t0 = peak_time(STD)
     t = np.linspace(t0, t0 + 60.0, 1000)
     vals = STD.f(t)
     assert np.all(np.diff(vals) < 0.0)
@@ -131,7 +133,7 @@ def test_influence_coefficients_identity():
     # f(t) = (2 t / m) * growing(t), an exact algebraic identity
     rng = np.random.default_rng(11)
     t = rng.uniform(0.05, 40.0, size=20)
-    coeff = STD.propagator_coefficients(t)
+    coeff = propagator_coefficients(STD, t)
     np.testing.assert_allclose((2.0 * t / MASS) * coeff.growing, STD.f(t),
                                rtol=1e-12)
 
@@ -139,7 +141,7 @@ def test_influence_coefficients_identity():
 def test_influence_coefficients_closed_forms():
     t = np.array([0.3, 1.0, 4.0])
     s, g = STD.sigma, STD.gamma
-    coeff = STD.propagator_coefficients(t)
+    coeff = propagator_coefficients(STD, t)
     np.testing.assert_allclose(
         coeff.symmetric, MASS * 0.5 * s / np.tanh(s * t), rtol=1e-13)
     np.testing.assert_allclose(
@@ -153,21 +155,21 @@ def test_influence_coefficients_closed_forms():
 def test_influence_coefficients_clean_limit():
     clean = DampingKernel(0.0, 100.0)
     t = np.array([0.5, 2.0])
-    coeff = clean.propagator_coefficients(t)
+    coeff = propagator_coefficients(clean, t)
     np.testing.assert_allclose(coeff.symmetric, MASS * 0.5 / t, rtol=1e-15)
     np.testing.assert_array_equal(coeff.symmetric, coeff.decaying)
     np.testing.assert_array_equal(coeff.decaying, coeff.growing)
 
 
 def test_influence_decaying_coefficient_dies():
-    coeff_1 = STD.propagator_coefficients(np.array([1.0]))
-    coeff_50 = STD.propagator_coefficients(np.array([50.0]))
+    coeff_1 = propagator_coefficients(STD, np.array([1.0]))
+    coeff_50 = propagator_coefficients(STD, np.array([50.0]))
     assert coeff_50.decaying[0] < 1e-10 * coeff_1.decaying[0]
 
 
 def test_influence_pole_at_zero():
     with pytest.raises(PoleError):
-        STD.propagator_coefficients(0.0)
+        propagator_coefficients(STD, 0.0)
 
 
 def test_taylor_sqrt_f_closed_forms():
@@ -195,7 +197,7 @@ def test_taylor_sqrt_f_against_finite_differences():
 
 
 def test_series_coefficients():
-    amps, rates = STD.series_coefficients(4)
+    amps, rates = series_coefficients(STD, 4)
     np.testing.assert_allclose(amps, [1.0, 0.5, 0.375, 0.3125], rtol=1e-15)
     np.testing.assert_allclose(
         rates, STD.decay_gap + 2.0 * STD.sigma * np.arange(4), rtol=1e-15)
@@ -203,14 +205,14 @@ def test_series_coefficients():
 
 def test_sqrt_f_series_converges_to_sqrt_f():
     t = np.array([0.5, 1.0, 2.5, 6.0])
-    approx = STD.sqrt_f_series(t, 60)
+    approx = sqrt_f_series(STD, t, 60)
     np.testing.assert_allclose(approx, STD.sqrt_f(t), rtol=1e-12)
 
 
 def test_series_requires_damping():
     clean = DampingKernel(0.0, 100.0)
     with pytest.raises(DegenerateKernelError):
-        clean.series_coefficients(4)
+        series_coefficients(clean, 4)
     with pytest.raises(DegenerateKernelError):
         clean.sqrt_f_spectrum(1.0)
 

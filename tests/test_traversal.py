@@ -57,7 +57,7 @@ def test_distribution_frozen_moment():
 
 def test_distribution_causality_floor():
     dist = distribution_F(1.3, 5.0)
-    assert dist.negative_leakage() < 1e-8
+    assert np.max(np.abs(dist.values[dist.signed_times < 0])) < 1e-8
 
 
 def test_distribution_moment_validation():

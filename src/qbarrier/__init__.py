@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .barrier import (amplitude_w, amplitude_w_complex_height,
                       transmission_prob)
-from .damped import amplitude_w_D, subtraction_ladder, transmission_prob_D
+from .damped import amplitude_w_D, subtraction_ladder
 from .errors import (DegenerateKernelError, DegenerateSuppressionError,
                      DomainError, NonConvergenceError, PoleError,
                      QBarrierError, WindowError)
@@ -42,7 +42,6 @@ __all__ = [
     "resonance_energies",
     "subtraction_ladder",
     "transmission_prob",
-    "transmission_prob_D",
     "wave_numbers",
     "__version__",
 ]

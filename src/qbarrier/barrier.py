@@ -31,6 +31,7 @@ duplicating the core.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -111,6 +112,14 @@ def amplitude_w_complex_height(epsilon, width: float, height):
     eps = _check_inputs(epsilon, width)
     h = np.asarray(height, dtype=complex)
     return _as_given(_w_from_ksq(np.sqrt(eps), eps - h, width))
+
+
+def check_height_shift(width: float, shift: float) -> None:
+    """Raise DomainError unless the heights ``1 - (2 / width) * omega`` of
+    the spectral routes stay finite for every ``|omega| <= shift``."""
+    if not (2.0 / float(width)) * float(shift) < math.inf:
+        raise DomainError(f"width {float(width)!r} is too small: heights "
+                          f"shifted by up to {float(shift):.6g} overflow")
 
 
 def transmission_prob(epsilon, width: float):

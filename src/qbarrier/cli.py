@@ -1,9 +1,10 @@
 """Command line front end.
 
 ``qbarrier figure3|figure4|figure5`` reproduce the three canonical
-sweeps with their preset grids; ``transmission``, ``traversal``,
-``cumulative``, and ``resonances`` expose the same runners with free
-parameters.  Output is CSV or JSON to stdout or a file.
+sweeps with their preset grids (figure3 and figure5 are ``transmission``
+and ``cumulative`` with the paper's defaults); ``transmission``,
+``traversal``, ``cumulative``, and ``resonances`` expose the same runners
+with free parameters.  Output is CSV or JSON to stdout or a file.
 
 Exit codes: 0 clean, 2 bad usage (including an option the subcommand
 does not take, a nonpositive width, energy or bath cutoff, a negative
@@ -87,11 +88,14 @@ def _at_least_one(text: str) -> int:
     return val
 
 
-def _add_common(sub: argparse.ArgumentParser, *, gamma=True):
+def _add_common(sub: argparse.ArgumentParser, *, gammas=(0.0, 5e-3)):
+    """Options every subcommand takes, and the damping options with their
+    default rates unless ``gammas`` is None."""
     sub.add_argument("--d-over-lambda0", type=_positive, default=5.0,
                      metavar="D", help="barrier width in wavelengths "
                      "(default %(default)s)")
-    if gamma:
+    if gammas is not None:
+        sub.set_defaults(gammas=gammas)
         sub.add_argument("--gamma-star", type=float, action="append",
                          metavar="G", help="damping rate in 1/tau_star; "
                          "repeatable, 0 baseline always included")
@@ -120,17 +124,21 @@ def build_parser() -> argparse.ArgumentParser:
         "with Ohmic damping.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in (("figure3", "transmission vs energy, preset grid"),
-                       ("figure4", "mean traversal deviation vs energy"),
-                       ("figure5", "cumulative amplitude vs time")):
-        sub = subs.add_parser(name, help=text)
-        _add_common(sub, gamma=(name != "figure4"))
-        if name == "figure3":
-            _add_solver(sub)
+    sub = subs.add_parser("figure3",
+                          help="transmission vs energy, preset grid")
+    _add_common(sub, gammas=(0.0, 1e-3, 5e-3))
+    _add_solver(sub)
+    sub.set_defaults(command="transmission", epsilon_range=(0.05, 5.0, 256))
+    sub = subs.add_parser("figure4", help="mean traversal deviation vs energy")
+    _add_common(sub, gammas=None)
+    sub = subs.add_parser("figure5", help="cumulative amplitude vs time")
+    _add_common(sub)
+    sub.set_defaults(command="cumulative", epsilon=1.3,
+                     tau_range=(0.0, 30.0, 301))
 
     sub = subs.add_parser("transmission",
                           help="transmission probability on a free grid")
-    _add_common(sub)
+    _add_common(sub, gammas=(0.0,))
     _add_solver(sub)
     sub.add_argument("--epsilon-range", type=_epsilon_range, required=True,
                      metavar="LO:HI:N")
@@ -152,50 +160,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("resonances",
                           help="resonance energies and mean traversal "
                           "times")
-    _add_common(sub, gamma=False)
+    _add_common(sub, gammas=None)
     sub.add_argument("--count", type=_at_least_one, default=4)
 
     return parser
 
 
-def _gammas(args, default):
-    return args.gamma_star if args.gamma_star else list(default)
-
-
 def _run(args) -> sweep.SweepResult:
     width = args.d_over_lambda0
     cmd = args.command
-    if cmd == "figure3":
-        eps = np.linspace(0.05, 5.0, 256)
-        return sweep.run_transmission(
-            width, eps, _gammas(args, (0.0, 1e-3, 5e-3)), args.omega_star,
-            tol=args.tol)
     if cmd == "figure4":
         eps = np.linspace(1.01, 5.0, 257)[1:]
         return sweep.run_mean_deviation(width, eps)
-    if cmd == "figure5":
-        taus = np.linspace(0.0, 30.0, 301)
-        return sweep.run_cumulative(
-            width, 1.3, taus, _gammas(args, (0.0, 5e-3)), args.omega_star)
+    if cmd == "resonances":
+        return sweep.run_resonances(width, args.count)
+    gammas = args.gamma_star or args.gammas
     if cmd == "transmission":
         lo, hi, n = args.epsilon_range
         eps = np.linspace(lo, hi, n)
         return sweep.run_transmission(
-            width, eps, _gammas(args, (0.0,)), args.omega_star,
-            tol=args.tol)
+            width, eps, gammas, args.omega_star, tol=args.tol)
     if cmd == "traversal":
         lo, hi, n = args.tau_range
         return sweep.run_distribution(
-            width, args.epsilon, lo, hi, n, _gammas(args, (0.0, 5e-3)),
-            args.omega_star)
+            width, args.epsilon, lo, hi, n, gammas, args.omega_star)
     if cmd == "cumulative":
         lo, hi, n = args.tau_range
         taus = np.linspace(lo, hi, n)
         return sweep.run_cumulative(
-            width, args.epsilon, taus, _gammas(args, (0.0, 5e-3)),
-            args.omega_star)
-    if cmd == "resonances":
-        return sweep.run_resonances(width, args.count)
+            width, args.epsilon, taus, gammas, args.omega_star)
     raise AssertionError(cmd)
 
 

@@ -28,24 +28,29 @@ envelope and an empirical sample at the window edge feed the reported
 error bound.  The clean limit gamma = 0 short-circuits to the bare
 amplitude exactly.
 
-Panels recur across energies, so ``DampingKernel.residual_table`` keeps
-the ladder and each panel's residual row, keyed by its node bytes and
-computed once by its own 15-node call: no result changes by a bit.
+Panels recur across energies, so a table per kernel, held here and
+dropped with the kernel, keeps the ladder and each panel's residual row,
+keyed by its node bytes and computed once by its own 15-node call: no
+result changes by a bit, and equal kernels share their rows.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import amplitude_w, amplitude_w_complex_height
+from .barrier import (amplitude_w, amplitude_w_complex_height,
+                      check_height_shift)
 from .errors import DegenerateKernelError, DomainError, NonConvergenceError
 from .kernel import DampingKernel
 from .quadrature import integrate_adaptive
 
 _LADDER_ORDER = 4
+# per kernel: its ladder under "ladder" and the residual rows of amplitude_w_D
+_RESIDUAL_TABLES = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -107,24 +112,21 @@ def _phase_breakpoints(epsilon: float, width: float, start: float,
     """Marks spaced a quarter internal phase period apart, where the
     shifted-height amplitude oscillates in the spectral variable."""
     marks = []
-    theta_of = lambda om: width * math.sqrt(max(epsilon - 1.0 + 2.0 * om / width, 0.0))
     omega_osc = 0.5 * width * (1.0 - epsilon)  # internal phase turns real here
     lo = max(start, omega_osc)
     if lo >= stop:
         return marks
-    theta = theta_of(lo)
-    while True:
+    theta = width * math.sqrt(max(epsilon - 1.0 + 2.0 * lo / width, 0.0))
+    while len(marks) <= 4000:
         theta += 0.5 * math.pi
         try:
             om = 0.5 * width * ((theta / width) ** 2 - (epsilon - 1.0))
         except OverflowError:
-            raise DomainError(f"width {width!r} is too small for the spectral "
-                              "route: its phase marks overflow") from None
+            # past any window check_height_shift admits, like every later mark
+            break
         if om >= stop:
             break
         marks.append(om)
-        if len(marks) > 4000:
-            break
     return marks
 
 
@@ -142,23 +144,18 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     if kernel.gamma == 0.0:
         return DampedAmplitude(bare, 0.0, 0.0, 0, bare)
 
-    table = kernel.residual_table
+    table = _RESIDUAL_TABLES.setdefault(kernel, {})
     if not table:
         table["ladder"] = subtraction_ladder(kernel)
     ladder = table["ladder"]
-    closed = complex(np.sum(ladder.weights * np.asarray([
-        amplitude_w_complex_height(epsilon, width, 1.0 - 2j * sj / width)
-        for sj in ladder.rates])))
-
-    def g_res(om):
-        return residual_spectrum(kernel, ladder, om)
 
     # grow the window until the omega^-5 envelope certifies the tail
     cutoff = max(32.0, 8.0 * float(ladder.rates[-1]))
     tail = math.inf
     for _ in range(60):
         edges = cutoff * np.array([-1.0, -0.9, -0.8, 0.8, 0.9, 1.0])
-        empirical = float(np.max(np.abs(g_res(edges)) * np.abs(edges) ** 5))
+        g_edges = residual_spectrum(kernel, ladder, edges)
+        empirical = float(np.max(np.abs(g_edges) * np.abs(edges) ** 5))
         scale = max(ladder.mismatch, 2.0 * empirical)
         tail = scale / (4.0 * math.pi * cutoff ** 4)
         if tail <= 0.1 * tol:
@@ -167,26 +164,26 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     if tail > 0.1 * tol:
         raise NonConvergenceError(
             f"residual tail bound stuck at {tail:.3e} for cutoff {cutoff:.3e}")
+    # every height below, ladder poles included, lies within the window
+    check_height_shift(width, cutoff)
+    closed = complex(np.sum(ladder.weights * np.asarray([
+        amplitude_w_complex_height(epsilon, width, 1.0 - 2j * sj / width)
+        for sj in ladder.rates])))
 
-    marks = [-s for s in ladder.rates] + list(ladder.rates)
-    # the residual's cancellation structure lives below s0 as well
-    sub = float(ladder.rates[0])
-    for _ in range(6):
-        sub *= 0.5
-        marks += [-sub, sub]
-    # dyadic rungs out to the window on both sides: the residual's
-    # shoulder spans a few decades above the ladder rates, and the far
-    # panels are too wide to notice it on their own
-    rung = float(ladder.rates[-1])
-    while rung < cutoff:
-        marks += [-rung, rung]
-        rung *= 2.0
+    # seed marks at +-gap 2^k: the ladder rates (k = 0 .. 3); six octaves
+    # below s0, where the residual's cancellation structure lives as well;
+    # and rungs out to the window, since the residual's shoulder spans a few
+    # decades above the ladder rates and far panels are too wide to see it
+    gap, marks, k = kernel.decay_gap, [], -6
+    while k <= 3 or gap * 2.0 ** k < cutoff:
+        marks += [-gap * 2.0 ** k, gap * 2.0 ** k]
+        k += 1
     marks += _phase_breakpoints(epsilon, width, float(ladder.rates[-1]), cutoff)
 
     def integrand(om):
         for row in om:
             if row.tobytes() not in table:
-                table[row.tobytes()] = g_res(row)
+                table[row.tobytes()] = residual_spectrum(kernel, ladder, row)
         shifted = amplitude_w_complex_height(
             epsilon, width, 1.0 - (2.0 / width) * om)
         return shifted * np.array([table[row.tobytes()] for row in om])
@@ -210,12 +207,6 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
             f"certified error {error:.3e} above tol {tol:.3e}",
             best_estimate=value, error_estimate=error)
     return DampedAmplitude(value, error, cutoff, quad.panels_used, bare)
-
-
-def transmission_prob_D(epsilon: float, width: float, kernel: DampingKernel,
-                        *, tol: float = 1e-6) -> float:
-    """Suppressed transmission probability ``|w_D|**2``."""
-    return abs(amplitude_w_D(epsilon, width, kernel, tol=tol).value) ** 2
 
 
 def amplitude_w_D_height_sweep(
@@ -246,8 +237,9 @@ def amplitude_w_D_height_sweep(
         raise DomainError("omega_grid must be uniform and ascending")
 
     def shifted(x):
+        check_height_shift(width, np.max(np.abs(x)))
         return amplitude_w_complex_height(
-            epsilon, width, 1.0 - (2.0 / width) * np.asarray(x))
+            epsilon, width, 1.0 - (2.0 / width) * x)
 
     if kernel.gamma == 0.0:
         return shifted(om)

@@ -32,7 +32,7 @@ y = 1/sqrt(n).  It agrees with a 30-digit mpmath sum to 1.5e-15 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,10 +121,6 @@ class DampingKernel:
 
     gamma: float
     cutoff: float
-    # damped.amplitude_w_D's subtraction ladder and residual spectrum rows,
-    # built on first use and dropped with the kernel; outside ==, hash, repr
-    residual_table: dict = field(default_factory=dict, init=False,
-                                 compare=False, repr=False)
 
     def __post_init__(self):
         # amplitude_w_D's omega^5 envelope overflows from sigma ~ 1e60

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import amplitude_w, amplitude_w_complex_height
+from .barrier import (amplitude_w, amplitude_w_complex_height,
+                      check_height_shift)
 from .damped import amplitude_w_D_height_sweep
 from .errors import DegenerateSuppressionError, DomainError, WindowError
 from .kernel import DampingKernel
@@ -149,6 +150,7 @@ def distribution_F(epsilon: float, width: float, *,
     dw = grid.freq_step
     w_half = grid.halfwidth
     omegas = -w_half + dw * np.arange(n)
+    check_height_shift(width, w_half)
     shifted = amplitude_w_complex_height(
         epsilon, width, 1.0 - (2.0 / width) * omegas)
     window = np.exp(-0.5 * (omegas / grid.window) ** 2)

@@ -215,11 +215,15 @@ _NO_SOLVER = ["figure4", "figure5", "traversal", "cumulative", "resonances"]
     pytest.param(command, option, id=f"{option[0][2:]}-{command}")
     for option, commands in (
         (["--tol", "1e-8"], _NO_SOLVER),
-        (["--threads", "2"], ["figure3", "transmission"] + _NO_SOLVER))
+        (["--threads", "2"], ["figure3", "transmission"] + _NO_SOLVER),
+        (["--epsilon-range", "1:2:5"], ["figure3"]),
+        (["--epsilon", "2"], ["figure5"]),
+        (["--tau-range", "0:3:4"], ["figure5"]))
     for command in commands])
 def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
     # only the transmission sweeps call the pointwise solver, and every
-    # sweep runs serially, so no subcommand takes a thread count
+    # sweep runs serially, so no subcommand takes a thread count; the
+    # presets fix their grids as defaults and take no option to move them
     required = (["--epsilon-range", "1:2:5"] if command == "transmission"
                 else [])
     with pytest.raises(SystemExit) as info:
@@ -304,20 +308,61 @@ def test_cli_resonances_need_energies_above_the_barrier(capsys, width):
      "--d-over-lambda0", "1e-200"],
     ["figure3", "--d-over-lambda0", "1e-300"]],
     ids=["transmission", "figure3"])
-def test_cli_tiny_width_fails_the_damped_cells(capsys, argv):
-    # the quarter-phase marks of the spectral route overflowed a Python
-    # float into a traceback; now each damped cell fails with a reason
-    # and the clean column is still written
-    assert main(argv + ["--no-timestamp"]) == 3
+def test_cli_tiny_width_computes_the_damped_cells(capsys, argv):
+    # the quarter-phase marks of the spectral route overflow a Python float
+    # from a width of about 1e-154; the marks that would overflow all lie
+    # past the window, so the damped cells are computed, next to a clean
+    # column of exactly transparent barriers
+    assert main(argv + ["--no-timestamp"]) == 0
     captured = capsys.readouterr()
     rows = [line.split(",") for line in captured.out.splitlines()
             if not line.startswith("#")]
     assert rows[0][:2] == ["epsilon", "g0"] and len(rows[0]) > 2
     assert all(float(row[1]) == pytest.approx(1.0, abs=1e-15)
                for row in rows[1:])
-    assert all(math.isnan(float(cell)) for row in rows[1:] for cell in row[2:])
-    for label in rows[0][2:]:
-        assert f"\nqbarrier: {label}: DomainError: width " in captured.err
+    assert all(0.0 < float(cell) <= 1.0 for row in rows[1:]
+               for cell in row[2:])
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("width", ["1e-307", "1e-308", "1e-320"])
+@pytest.mark.parametrize("argv", [
+    ["transmission", "--epsilon-range", "0.5:1.3:3", "--gamma-star", "5e-3"],
+    ["figure5"], ["cumulative"], ["traversal"]],
+    ids=["transmission", "figure5", "cumulative", "traversal"])
+def test_cli_width_whose_heights_overflow_fails_with_a_reason(
+        capsys, argv, width):
+    # the shifted heights 1 - (2 / width) omega overflowed into nan cells
+    # and numpy warnings (errors under this suite) with no reason; now the
+    # heights are checked before they are formed
+    assert main(argv + ["--d-over-lambda0", width, "--no-timestamp"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    reason = f"width {float(width)!r} is too small: heights shifted by up to "
+    if argv == ["traversal"]:
+        # every column is built on the clean distribution, so the run fails
+        assert len(lines) == 1 and lines[0].startswith("qbarrier: " + reason)
+    else:
+        assert lines[0].endswith("cell(s) failed and are written as nan")
+        assert len(lines) > 1
+        assert all(f": DomainError: {reason}" in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("transmission_g5e-3.csv",
+     ["transmission", "--epsilon-range", "0.5:3:9", "--gamma-star", "5e-3"]),
+    ("transmission_g1e-5_omega10.csv",
+     ["transmission", "--epsilon-range", "0.5:3:5", "--gamma-star", "1e-5",
+      "--omega-star", "10"]),
+    ("cumulative_g1e-3.csv",
+     ["cumulative", "--tau-range", "0:5:11", "--gamma-star", "1e-3"])],
+    ids=["transmission", "weak-damping", "cumulative"])
+def test_cli_damped_output_matches_its_golden(capsys, golden, argv):
+    # w_D cells rest on the spectral panel layout and C_D cells on the
+    # height sweep; each golden is `python -m qbarrier ARGV --no-timestamp`
+    # and pins them byte for byte
+    assert main(argv + ["--no-timestamp"]) == 0
+    expected = (Path(__file__).parent / "goldens" / golden).read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_resonances_keep_the_columns_that_have_values(capsys):

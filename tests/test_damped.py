@@ -2,6 +2,7 @@
 spectral evaluation against frozen references, and continuity in the
 weak-damping limit."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,12 +13,11 @@ import numpy as np
 import pytest
 
 import qbarrier
-from qbarrier import quadrature
+from qbarrier import damped, quadrature
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
                               transmission_prob)
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
-                             residual_spectrum, subtraction_ladder,
-                             transmission_prob_D)
+                             residual_spectrum, subtraction_ladder)
 from qbarrier.errors import (DegenerateKernelError, DomainError,
                              NonConvergenceError)
 from qbarrier.kernel import DampingKernel
@@ -73,11 +73,6 @@ def test_frozen_reference_values():
     res = amplitude_w_D(1.3, 5.0, STD)
     assert res.value == pytest.approx(
         -0.7971896715529294 - 0.10549681459918892j, rel=1e-12)
-
-
-def test_transmission_prob_D():
-    assert transmission_prob_D(2.0, 5.0, STD) == pytest.approx(
-        abs(-0.4512786970657082 - 0.8014300935014831j) ** 2, rel=1e-11)
 
 
 def test_tol_validation():
@@ -140,7 +135,8 @@ def test_residual_table_rows_are_their_own_15_node_calls():
     for e in (1.3, 2.0):
         amplitude_w_D(e, 5.0, kernel)
     ladder = subtraction_ladder(kernel)
-    rows = {k: v for k, v in kernel.residual_table.items() if k != "ladder"}
+    table = damped._RESIDUAL_TABLES[kernel]
+    rows = {k: v for k, v in table.items() if k != "ladder"}
     assert len(rows) > 40
     for key, row in rows.items():
         nodes = np.frombuffer(key)
@@ -149,12 +145,21 @@ def test_residual_table_rows_are_their_own_15_node_calls():
 
 
 def test_used_kernel_equals_hashes_and_prints_like_a_new_one():
-    used, fresh = DampingKernel(5e-3, 100.0), DampingKernel(5e-3, 100.0)
+    # the residual table lives in qbarrier.damped, keyed weakly by kernel:
+    # the kernel is two plain fields, and the table entry goes with it
+    assert tuple(f.name for f in dataclasses.fields(DampingKernel)) == (
+        "gamma", "cutoff")
+    used = DampingKernel(5e-3, 123.0)
+    assert used not in damped._RESIDUAL_TABLES
     amplitude_w_D(1.3, 5.0, used)
-    assert used.residual_table and not fresh.residual_table
+    fresh = DampingKernel(5e-3, 123.0)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == (
-        "DampingKernel(gamma=0.005, cutoff=100.0)")
+        "DampingKernel(gamma=0.005, cutoff=123.0)")
+    # equal kernels share one entry, which outlives neither
+    assert damped._RESIDUAL_TABLES[fresh] is damped._RESIDUAL_TABLES[used]
+    del used
+    assert fresh not in damped._RESIDUAL_TABLES
 
 
 def test_weak_damping_continuity():
@@ -199,10 +204,11 @@ def test_w_D_loads_no_scipy():
 
 def test_suppression_above_barrier():
     # damping drains the resonant part of the transmission
-    ratio = transmission_prob_D(2.0, 5.0, STD) / transmission_prob(2.0, 5.0)
+    ratio = (abs(amplitude_w_D(2.0, 5.0, STD).value) ** 2
+             / transmission_prob(2.0, 5.0))
     assert ratio == pytest.approx(0.943176973200046, rel=1e-9)
     # far above the barrier the environment barely matters
-    ratio_far = (transmission_prob_D(25.0, 5.0, STD)
+    ratio_far = (abs(amplitude_w_D(25.0, 5.0, STD).value) ** 2
                  / transmission_prob(25.0, 5.0))
     assert abs(1.0 - ratio_far) < 0.1 * abs(1.0 - ratio)
 
@@ -216,7 +222,7 @@ def test_damping_ordering_above_barrier():
     for eps in (1.2, 1.3947841760435743, 2.0, 3.7):
         clean = transmission_prob(eps, 5.0)
         tiny, mid, strong = [
-            transmission_prob_D(eps, 5.0, DampingKernel(g, 100.0))
+            abs(amplitude_w_D(eps, 5.0, DampingKernel(g, 100.0)).value) ** 2
             for g in (1e-4, 1e-3, 5e-3)]
         assert tiny > clean > mid > strong, (eps, clean, tiny, mid, strong)
         assert tiny - clean < 1e-4
@@ -228,7 +234,8 @@ def test_tunneling_enhancement_below_barrier():
     # weak friction slightly helps tunneling in this formalism.  The
     # magnitude here is a frozen regression value, cross-checked against
     # the factorized route at build time.
-    ratio = transmission_prob_D(0.4, 5.0, STD) / transmission_prob(0.4, 5.0)
+    ratio = (abs(amplitude_w_D(0.4, 5.0, STD).value) ** 2
+             / transmission_prob(0.4, 5.0))
     assert ratio == pytest.approx(1.1589435375033286, rel=1e-8)
     assert ratio > 1.0
 

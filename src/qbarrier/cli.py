@@ -26,66 +26,39 @@ from . import sweep
 from .errors import QBarrierError
 
 
-def _range_triple(text: str) -> tuple:
+def _checked(kind, ok, need):
+    """The argparse type that reads ``kind(text)`` and rejects the value
+    unless ``ok`` holds for it (nan fails every comparison)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
+        return value
+    return parse
+
+
+def _triple(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected lo:hi:n, got {text!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not -math.inf < lo < hi < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"need finite lo < hi in {text!r}")
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"need n >= 2 in {text!r}")
-    return lo, hi, n
+        raise ValueError("expected LO:HI:N")
+    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _epsilon_range(text: str) -> tuple:
-    lo, hi, n = _range_triple(text)
-    if not lo > 0.0:
-        raise argparse.ArgumentTypeError(f"need energies > 0 in {text!r}")
-    return lo, hi, n
-
-
-def _tau_range(text: str) -> tuple:
-    lo, hi, n = _range_triple(text)
-    if not lo >= 0.0:
-        raise argparse.ArgumentTypeError(f"need times >= 0 in {text!r}")
-    return lo, hi, n
-
-
-def _number(text: str, kind):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _positive(text: str) -> float:
-    val = _number(text, float)
-    if not 0.0 < val < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}")
-    return val
-
-
-def _tol(text: str) -> float:
-    val = _number(text, float)
-    if not 0.0 < val <= 1e-3:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be in (0, 1e-3], got {text!r}")
-    return val
-
-
-def _at_least_one(text: str) -> int:
-    val = _number(text, int)
-    if val < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 1, got {text!r}")
-    return val
+_positive = _checked(float, lambda v: 0.0 < v < math.inf,
+                     "must be positive and finite")
+_tol = _checked(float, lambda v: 0.0 < v <= 1e-3,
+                "tolerance must be in (0, 1e-3]")
+_at_least_one = _checked(int, lambda v: v >= 1,
+                         "must be an integer of at least 1")
+_epsilon_range = _checked(
+    _triple, lambda r: 0.0 < r[0] < r[1] < math.inf and r[2] >= 2,
+    "need energies 0 < lo < hi < inf and n >= 2 in LO:HI:N")
+_tau_range = _checked(
+    _triple, lambda r: 0.0 <= r[0] < r[1] < math.inf and r[2] >= 2,
+    "need times 0 <= lo < hi < inf and n >= 2 in LO:HI:N")
 
 
 def _add_common(sub: argparse.ArgumentParser, *, gammas=(0.0, 5e-3)):
@@ -143,19 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--epsilon-range", type=_epsilon_range, required=True,
                      metavar="LO:HI:N")
 
-    sub = subs.add_parser("traversal",
-                          help="traversal-time distribution magnitude")
-    _add_common(sub)
-    sub.add_argument("--epsilon", type=_positive, default=1.3)
-    sub.add_argument("--tau-range", type=_tau_range,
-                     default=(0.0, 30.0, 301), metavar="LO:HI:N")
-
-    sub = subs.add_parser("cumulative",
-                          help="cumulative traversal amplitude magnitude")
-    _add_common(sub)
-    sub.add_argument("--epsilon", type=_positive, default=1.3)
-    sub.add_argument("--tau-range", type=_tau_range,
-                     default=(0.0, 30.0, 301), metavar="LO:HI:N")
+    for name, text in (
+            ("traversal", "traversal-time distribution magnitude"),
+            ("cumulative", "cumulative traversal amplitude magnitude")):
+        sub = subs.add_parser(name, help=text)
+        _add_common(sub)
+        sub.add_argument("--epsilon", type=_positive, default=1.3)
+        sub.add_argument("--tau-range", type=_tau_range,
+                         default=(0.0, 30.0, 301), metavar="LO:HI:N")
 
     sub = subs.add_parser("resonances",
                           help="resonance energies and mean traversal "

@@ -141,6 +141,7 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     if not 0.0 < tol <= 1e-3:
         raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
     bare = amplitude_w(float(epsilon), width)
+    width = float(width)
     if kernel.gamma == 0.0:
         return DampedAmplitude(bare, 0.0, 0.0, 0, bare)
 

@@ -39,7 +39,7 @@ one closed ``sinc^2``-weighted sum for every ``tau``, exactly 0 at 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,10 +185,7 @@ def distribution_F_D(epsilon: float, width: float, kernel: DampingKernel, *,
     if abs(s) == 0.0:
         raise DegenerateSuppressionError(
             "suppression annihilated the distribution")
-    return TraversalDistribution(
-        times=base.times, values=weighted / s, step=base.step,
-        period=base.period, window=base.window, amplitude=base.amplitude,
-        suppression=s)
+    return replace(base, values=weighted / s, suppression=s)
 
 
 def mean_traversal_closed(epsilon: float, width: float) -> complex:

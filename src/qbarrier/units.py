@@ -52,10 +52,8 @@ def wave_numbers(epsilon: float) -> WaveNumbers:
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     k = math.sqrt(epsilon)
-    kappa = cmath.sqrt(complex(epsilon - 1.0, 0.0))
-    if kappa.imag < 0.0:
-        kappa = -kappa
-    return WaveNumbers(k, kappa)
+    # the +0.0 imaginary part puts cmath.sqrt on the upper branch
+    return WaveNumbers(k, cmath.sqrt(complex(epsilon - 1.0, 0.0)))
 
 
 def classical_crossing_time(epsilon: float) -> float:

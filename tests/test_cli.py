@@ -178,17 +178,27 @@ def test_cli_rejects_nonpositive_width_and_energy(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["resonances", "--count", "0"],
-    ["figure5", "--omega-star", "0"],
-    ["traversal", "--omega-star", "-1"]])
-def test_cli_rejects_malformed_count_and_cutoff(capsys, argv):
-    # a request no computation can honour is bad usage, not a numerical
-    # failure
+def _rejected_option(capsys, argv) -> None:
+    # usage errors exit 2 and name the last option given, the one rejected
     with pytest.raises(SystemExit) as info:
         main(argv + ["--no-timestamp"])
     assert info.value.code == 2
-    capsys.readouterr()
+    option = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonances", "--count", "0"],
+    ["figure5", "--omega-star", "0"],
+    ["traversal", "--omega-star", "-1"],
+    ["resonances", "--count", "1.5"],
+    ["transmission", "--epsilon-range", "1:2:3", "--tol", "nan"],
+    ["figure4", "--d-over-lambda0", "inf"],
+    ["figure4", "--d-over-lambda0", "abc"]])
+def test_cli_rejects_malformed_count_and_cutoff(capsys, argv):
+    # a request no computation can honour is bad usage, not a numerical
+    # failure; text that is no number at all is rejected the same way
+    _rejected_option(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,13 +209,26 @@ def test_cli_rejects_malformed_count_and_cutoff(capsys, argv):
     ["cumulative", "--tau-range=-5:3:4"],
     ["traversal", "--tau-range=-5:3:4"],
     ["cumulative", "--tau-range", "-5:3:4"],
-    ["transmission", "--epsilon-range", "-1:2:4"]])
+    ["transmission", "--epsilon-range", "-1:2:4"],
+    ["transmission", "--epsilon-range", "1:2"],
+    ["transmission", "--epsilon-range", "1:2:x"],
+    ["transmission", "--epsilon-range", "nan:2:4"],
+    ["transmission", "--epsilon-range", "1:2:1"]])
 def test_cli_rejects_malformed_range(capsys, argv):
-    # energies must be positive, times nonnegative, both ends finite
+    # energies must be positive, times nonnegative, both ends finite, and
+    # a range is three fields LO:HI:N with at least two points
+    _rejected_option(capsys, argv)
+
+
+@pytest.mark.parametrize("command", [
+    [], ["figure3"], ["figure4"], ["figure5"], ["transmission"],
+    ["traversal"], ["cumulative"], ["resonances"]],
+    ids=lambda command: command[0] if command else "top")
+def test_cli_help_exits_cleanly(capsys, command):
     with pytest.raises(SystemExit) as info:
-        main(argv + ["--no-timestamp"])
-    assert info.value.code == 2
-    capsys.readouterr()
+        main([*command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qbarrier")
 
 
 _NO_SOLVER = ["figure4", "figure5", "traversal", "cumulative", "resonances"]
@@ -363,6 +386,21 @@ def test_cli_damped_output_matches_its_golden(capsys, golden, argv):
     assert main(argv + ["--no-timestamp"]) == 0
     expected = (Path(__file__).parent / "goldens" / golden).read_text()
     assert capsys.readouterr().out == expected
+
+
+_BENCH_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("resonances.csv", ["resonances"]),
+    ("resonances.json", ["resonances", "--format", "json"]),
+    ("figure4.csv", ["figure4"]),
+    ("traversal.csv", ["traversal"])])
+def test_cli_preset_output_matches_the_benchmark_golden(capsys, golden, argv):
+    # the benchmark's cli workload compares these presets byte for byte;
+    # the suite reads the same files in place so a drift fails here first
+    assert main(argv + ["--no-timestamp"]) == 0
+    assert capsys.readouterr().out == (_BENCH_GOLDENS / golden).read_text()
 
 
 def test_cli_resonances_keep_the_columns_that_have_values(capsys):

@@ -104,6 +104,10 @@ def test_exhausted_budget_keeps_best_estimate_and_fails_one_cell(
 
 
 def test_nonconvergence_reason_names_a_plain_float(monkeypatch):
+    # a numpy width is used as a plain float: at 1e-200 the phase marks
+    # overflow, where a numpy square would warn instead of raising
+    assert (amplitude_w_D(0.5, np.float64(1e-200), STD)
+            == amplitude_w_D(0.5, 1e-200, STD))
     # sweeps pass numpy scalars; the reason that reaches stderr must still
     # read like the number the user asked for
     monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 62)

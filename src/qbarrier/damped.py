@@ -254,8 +254,9 @@ def amplitude_w_D_height_sweep(
                        / (4.0 * math.pi * 1e-10)) ** 0.25
     resid_halfwidth = float(min(max(resid_halfwidth, 40.0), 200.0))
     n_half = int(math.ceil(resid_halfwidth / step))
-    u = step * np.arange(-n_half, n_half + 1)
-    g_res = residual_spectrum(kernel, ladder, u)
+    # conjugate-symmetric bit for bit: evaluate omega >= 0, mirror the rest
+    half = residual_spectrum(kernel, ladder, step * np.arange(n_half + 1))
+    g_res = np.concatenate([np.conj(half[:0:-1]), half])
     x_ext = om[0] + step * np.arange(-n_half, om.size + n_half)
     w_ext = shifted(x_ext)
     # correlation against the residual spectrum, out[i] = sum_m w(om_i + u_m) g(u_m),

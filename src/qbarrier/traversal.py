@@ -39,6 +39,7 @@ one closed ``sinc^2``-weighted sum for every ``tau``, exactly 0 at 0.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -263,6 +264,9 @@ def cumulative_amplitude(
                           "side is beyond reason")
     n_half = int(math.ceil(per_side))
     w_half = n_half * step
+    tau_max = float(np.max(taus, initial=0.0))
+    if not w_half * tau_max < math.inf:
+        raise DomainError(f"time {tau_max!r} is too large: its phases overflow")
     grid = step * np.arange(-n_half, n_half + 1)
 
     heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid)
@@ -281,10 +285,25 @@ def cumulative_amplitude(
     columns[-1] *= 0.5
     flat = taus.ravel()
     sums = np.empty((flat.size, 2))
+    # blocks of a fixed row count (the matmul's bits depend on it) go to the
+    # cores, each worker filling its own phase buffer allocated here
     rows = max(1, (1 << 18) // omegas.size)
-    for i0 in range(0, flat.size, rows):
-        phases = np.outer(flat[i0:i0 + rows], omegas)
-        sums[i0:i0 + rows] = np.sin(phases, out=phases) @ columns
+    starts = range(0, flat.size, rows)
+    workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
+    buffers = np.empty((workers, min(rows, flat.size), omegas.size))
+
+    def filon_blocks(k):
+        for i0 in starts[k::workers]:
+            phases = buffers[k][:min(rows, flat.size - i0)]
+            np.multiply(flat[i0:i0 + rows, None], omegas[None, :], out=phases)
+            sums[i0:i0 + rows] = np.sin(phases, out=phases) @ columns
+
+    if workers == 1:
+        filon_blocks(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(filon_blocks, range(workers)))
     edge = np.divide(odd[-1] * np.cos(w_half * flat)
                      * (1.0 - np.sinc(step * flat / math.pi)), flat,
                      out=np.zeros(flat.shape, dtype=complex), where=flat > 0.0)

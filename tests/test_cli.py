@@ -258,8 +258,9 @@ def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
 
 def test_cli_import_path_is_lean():
     # scipy costs most of the import and only the cumulative curve calls
-    # it; sweeps run serially, so no executor loads either.  A fresh
-    # interpreter shows what each import pulls in
+    # it; sweeps run serially, and the one thread pool, which spreads a
+    # C_D curve's Filon blocks over the cores, is imported by that call
+    # alone.  A fresh interpreter shows what each import pulls in
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
     for module in ("qbarrier.cli", "qbarrier"):
         probe = (f"import {module}, sys; "
@@ -288,6 +289,18 @@ def test_cli_nonfinite_damping_fails_with_a_reason(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("qbarrier: ")
     assert "DampingKernel(gamma=" in err
+
+
+def test_cli_time_whose_phase_overflows_fails_with_a_reason(capsys):
+    # W tau overflows past tau ~ 4.4e305; each column fails with its reason
+    # before any numpy arithmetic can warn or write an unexplained nan
+    argv = ["cumulative", "--tau-range", "0:1e307:2", "--no-timestamp"]
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "qbarrier: 4 cell(s) failed and are written as nan"
+    assert lines[1:] == [
+        f"qbarrier: {label}: DomainError: time 1e+307 is too large: its "
+        "phases overflow" for label in ("g0", "g0.005")]
 
 
 def test_cli_numerical_failure_exit_code(capsys):
@@ -377,12 +390,14 @@ def test_cli_width_whose_heights_overflow_fails_with_a_reason(
      ["transmission", "--epsilon-range", "0.5:3:5", "--gamma-star", "1e-5",
       "--omega-star", "10"]),
     ("cumulative_g1e-3.csv",
-     ["cumulative", "--tau-range", "0:5:11", "--gamma-star", "1e-3"])],
-    ids=["transmission", "weak-damping", "cumulative"])
+     ["cumulative", "--tau-range", "0:5:11", "--gamma-star", "1e-3"]),
+    ("figure5.csv", ["figure5"])],
+    ids=["transmission", "weak-damping", "cumulative", "figure5"])
 def test_cli_damped_output_matches_its_golden(capsys, golden, argv):
     # w_D cells rest on the spectral panel layout and C_D cells on the
-    # height sweep; each golden is `python -m qbarrier ARGV --no-timestamp`
-    # and pins them byte for byte
+    # height sweep and the Filon blocks (figure5: 301 times, blocks of 8
+    # rows and a partial last one); each golden is
+    # `python -m qbarrier ARGV --no-timestamp` and pins them byte for byte
     assert main(argv + ["--no-timestamp"]) == 0
     expected = (Path(__file__).parent / "goldens" / golden).read_text()
     assert capsys.readouterr().out == expected

@@ -244,6 +244,22 @@ def test_tunneling_enhancement_below_barrier():
     assert ratio > 1.0
 
 
+@pytest.mark.parametrize("gamma, cutoff", [
+    (1e-5, 10.0), (1e-3, 100.0), (5e-3, 100.0), (0.05, 100.0), (0.5, 1000.0)])
+def test_residual_spectrum_mirrors_bit_for_bit(gamma, cutoff):
+    # the height sweep evaluates the residual spectrum for omega >= 0 only
+    # and takes omega < 0 as its conjugate; both halves of that must hold
+    # to the bit (signs of zeros included) on the sweep's symmetric grids
+    kernel = DampingKernel(gamma, cutoff)
+    ladder = subtraction_ladder(kernel)
+    for step, n in ((0.0125, 3200), (0.1, 2000), (0.002527, 800)):
+        full = residual_spectrum(kernel, ladder, step * np.arange(-n, n + 1))
+        half = residual_spectrum(kernel, ladder, step * np.arange(n + 1))
+        assert half.tobytes() == full[n:].tobytes()
+        assert np.conj(full[:n:-1]).tobytes() == full[:n].tobytes()
+        assert np.array_equal(np.conj(full[::-1]), full)
+
+
 def test_height_sweep_clean_limit():
     om = np.linspace(-3.0, 3.0, 31)
     clean = DampingKernel(0.0, 100.0)

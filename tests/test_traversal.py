@@ -2,6 +2,7 @@
 and the cumulative amplitude."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -273,3 +274,46 @@ def test_cumulative_input_validation():
     # about 1.7e8 points per side here; refused before anything is built
     with pytest.raises(WindowError):
         cumulative_amplitude(1.3, 5.0, DampingKernel(1e-5, 10.0), [1.0])
+
+
+@pytest.mark.parametrize("gamma, taus, cores", [
+    (5e-3, np.linspace(0.0, 30.0, 301), (1, None, 3)),
+    (1e-3, np.linspace(0.0, 5.0, 11), (1, None))],
+    ids=["figure5", "one-row-blocks"])
+def test_cumulative_does_not_depend_on_the_core_count(monkeypatch, gamma,
+                                                      taus, cores):
+    # the Filon blocks go to one thread per core; every block keeps its row
+    # count (8 rows and a partial last block on the figure5 grid, one row
+    # at gamma 1e-3), so the values are the same for any number of cores
+    kernel = DampingKernel(gamma, 100.0)
+    real = os.sched_getaffinity
+    values = {}
+    for n in cores:
+        fake = real if n is None else (lambda pid, n=n: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", fake)
+        values[n] = cumulative_amplitude(1.3, 5.0, kernel, taus).values
+    assert all(np.all(v == values[1]) for v in values.values())
+
+
+def test_cumulative_keeps_the_shape_of_its_times(monkeypatch):
+    # empty, scalar and 2-D times (21 of them: three blocks of 8 rows)
+    clean = DampingKernel(0.0, 100.0)
+    for shape in [(0,), (), (3, 7), (0, 3)]:
+        taus = np.linspace(0.0, 3.0, math.prod(shape)).reshape(shape)
+        values = []
+        for n in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n: set(range(n)))
+            values.append(cumulative_amplitude(1.3, 5.0, clean, taus).values)
+        assert values[0].shape == values[1].shape == shape
+        assert np.all(values[0] == values[1])
+
+
+def test_cumulative_refuses_a_time_whose_phase_overflows():
+    # W tau overflows from tau ~ 4.4e305 at W = 409.6; refused before the
+    # height sweep, so no numpy warning and no nan
+    for kernel in (DampingKernel(0.0, 100.0), STD):
+        with pytest.raises(DomainError, match="time 1e[+]307 is too large"):
+            cumulative_amplitude(1.3, 5.0, kernel, [0.0, 1e307])
+    res = cumulative_amplitude(1.3, 5.0, STD, [4.3e305])
+    assert np.all(np.isfinite(res.values))

@@ -210,6 +210,21 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     return DampedAmplitude(value, error, cutoff, quad.panels_used, bare)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, the length scipy.fft.next_fast_len
+    picks: every odd 11-smooth m below the power of two at or above n,
+    times the least power of two that lifts it to n."""
+    best = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for m in odd[:]:
+            m *= p
+            while m < best:
+                odd.append(m)
+                m *= p
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
+
+
 def amplitude_w_D_height_sweep(
     epsilon: float,
     width: float,
@@ -260,11 +275,8 @@ def amplitude_w_D_height_sweep(
     x_ext = om[0] + step * np.arange(-n_half, om.size + n_half)
     w_ext = shifted(x_ext)
     # correlation against the residual spectrum, out[i] = sum_m w(om_i + u_m) g(u_m),
-    # as the "valid" part of a full linear convolution done by FFT; scipy.fft
-    # is imported here so that paths without a height sweep never load it
-    from scipy.fft import next_fast_len
-
-    n_fft = next_fast_len(w_ext.size + g_res.size - 1)
+    # as the "valid" part of a full linear convolution done by FFT
+    n_fft = _next_fast_len(w_ext.size + g_res.size - 1)
     full = np.fft.ifft(np.fft.fft(w_ext, n_fft) * np.fft.fft(g_res[::-1], n_fft))
     out += full[g_res.size - 1:w_ext.size] * (step / (2.0 * math.pi))
     return out

@@ -59,6 +59,10 @@ _CUMULATIVE_HALFWIDTH = 409.6
 _CUMULATIVE_MAX_STEP = 0.0125
 # coarse height step of the derivative route to the mean traversal time
 _DERIVATIVE_STEP = 1e-4
+# pi/2 - Si: series terms below x = 2 and continued-fraction depth from 2 up,
+# each converged to the last bit at x = 2 (the fraction by depth 90)
+_SI_SERIES_TERMS = 14
+_SI_FRACTION_DEPTH = 120
 
 
 @dataclass(frozen=True)
@@ -228,6 +232,29 @@ def mean_traversal_derivative(epsilon: float, width: float) -> complex:
     return complex((2.0j / width) * (4.0 * fine - coarse) / 3.0)
 
 
+def _half_pi_minus_si(x: np.ndarray) -> np.ndarray:
+    """pi/2 - Si(x) for x >= 0, within 3.1e-16 of 40-digit values.
+
+    Below 2 the power series of Si in Horner form, exactly pi/2 at 0.
+    From 2 up, -Im(e^{-ix} CF(ix)) with CF(z) = e^z E1(z) =
+    1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) summed backward from a
+    fixed depth: no cancellation against pi/2, and finite for any double.
+    """
+    out = np.empty(x.shape)
+    low = x < 2.0
+    t = x[low] ** 2
+    acc = np.zeros(t.shape)
+    for k in range(_SI_SERIES_TERMS - 1, -1, -1):
+        acc = acc * t + (-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1))
+    out[low] = 0.5 * math.pi - x[low] * acc
+    z = 1j * x[~low]
+    tail = np.zeros(z.shape, dtype=complex)
+    for k in range(_SI_FRACTION_DEPTH, 0, -1):
+        tail = -float(k * k) / (z + (2 * k + 1) + tail)
+    out[~low] = -(np.exp(-z) / (z + 1.0 + tail)).imag
+    return out
+
+
 @dataclass(frozen=True)
 class CumulativeResult:
     times: np.ndarray
@@ -309,12 +336,8 @@ def cumulative_amplitude(
                      out=np.zeros(flat.shape, dtype=complex), where=flat > 0.0)
     integrals = (step * np.sinc(0.5 * step * flat / math.pi) ** 2
                  * (sums[:, 0] + 1j * sums[:, 1]) - edge)
-    # imported here so that paths without a cumulative curve never load it
-    from scipy.special import sici
-
-    si_vals, _ = sici(w_half * flat)
     values = (1.0 + integrals / h0
-              - (2.0 / math.pi) * (0.5 * math.pi - si_vals))
+              - (2.0 / math.pi) * _half_pi_minus_si(w_half * flat))
     return CumulativeResult(
         times=taus, values=values.reshape(taus.shape),
         suppressed_amplitude=h0, step=step, halfwidth=w_half)

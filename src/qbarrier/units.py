@@ -74,7 +74,9 @@ def resonance_energies(width: float, count: int) -> np.ndarray:
 
     These are the energies where the internal phase accumulates a multiple
     of pi, ``epsilon_n = 1 + (n pi / width)**2``.  Raises DomainError
-    unless every one of them is finite and above 1.
+    unless every one of them is finite and keeps ``(n pi / width)**2`` to
+    1e-6 relative: certain up to a width of about 3e5, where half an ulp
+    of 1 reaches 1e-6 of the lowest square, and down to luck beyond.
     """
     if not width > 0.0:
         raise DomainError(f"width must be positive, got {width!r}")
@@ -82,11 +84,17 @@ def resonance_energies(width: float, count: int) -> np.ndarray:
         raise DomainError(f"count must be at least 1, got {count!r}")
     n = np.arange(1, count + 1, dtype=float)
     with np.errstate(over="ignore"):
-        eps = 1.0 + (n * math.pi / width) ** 2
-    # ascending in n: the first is the lowest, the last the highest
-    if not (eps[0] > 1.0 and eps[-1] < math.inf):
+        phase2 = (n * math.pi / width) ** 2
+    eps = 1.0 + phase2
+    # ascending in n: the last is the highest
+    if not eps[-1] < math.inf:
         raise DomainError(
-            f"{count} resonance energies of width {width!r} are not all "
-            "finite and above 1")
+            f"{count} resonance energies of width {width!r} overflow")
+    # adding 1 rounds (n pi / width)^2 to the ulp of 1; strict, so that a
+    # square that underflows to 0 fails as well
+    if not np.all(np.abs((eps - 1.0) - phase2) < 1e-6 * phase2):
+        raise DomainError(
+            f"resonance energies of width {width!r} lose (n pi / width)^2 "
+            "to rounding by more than 1e-6 relative")
     return eps
 

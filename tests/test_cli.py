@@ -257,10 +257,10 @@ def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
 
 
 def test_cli_import_path_is_lean():
-    # scipy costs most of the import and only the cumulative curve calls
-    # it; sweeps run serially, and the one thread pool, which spreads a
-    # C_D curve's Filon blocks over the cores, is imported by that call
-    # alone.  A fresh interpreter shows what each import pulls in
+    # no run-time path loads scipy; sweeps run serially, and the one
+    # thread pool, which spreads a C_D curve's Filon blocks over the cores,
+    # is imported by that call alone.  A fresh interpreter shows what each
+    # import pulls in
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
     for module in ("qbarrier.cli", "qbarrier"):
         probe = (f"import {module}, sys; "
@@ -327,10 +327,12 @@ def test_cli_traversal_fails_a_kernel_its_window_cannot_resolve(capsys):
     assert "\nqbarrier: g10: WindowError: " in captured.err
 
 
-@pytest.mark.parametrize("width", ["1e-300", "1e300"])
+@pytest.mark.parametrize("width", ["1e-300", "1e300", "1e8"])
 def test_cli_resonances_need_energies_above_the_barrier(capsys, width):
-    # 1e-300 overflows every resonance energy to inf and 1e300 rounds it
-    # to exactly 1: no table, one reason, no numpy warning
+    # 1e-300 overflows every resonance energy to inf, 1e300 rounds it to
+    # exactly 1, and 1e8 keeps only 0.9 of (pi / d_hat)^2 above 1, which
+    # printed kd/pi = 0.9486 and |w|^2 = 1.4e-13 where both are 1: no
+    # table, one reason, no numpy warning
     assert main(["resonances", "--d-over-lambda0", width,
                  "--no-timestamp"]) == 3
     captured = capsys.readouterr()
@@ -419,9 +421,10 @@ def test_cli_preset_output_matches_the_benchmark_golden(capsys, golden, argv):
 
 
 def test_cli_resonances_keep_the_columns_that_have_values(capsys):
-    # from d_hat ~ 3e4 every epsilon_n - 1 falls below the closed mean's
-    # 1e-8 guard; only that column fails, the table is still written
-    assert main(["resonances", "--d-over-lambda0", "1e8",
+    # at d_hat = 1e5, epsilon_n - 1 = (n pi / d_hat)^2 falls below the
+    # closed mean's 1e-8 guard for n = 1, 2, 3; only those cells fail, the
+    # table is still written
+    assert main(["resonances", "--d-over-lambda0", "1e5",
                  "--no-timestamp"]) == 3
     captured = capsys.readouterr()
     rows = [line.split(",") for line in captured.out.splitlines()
@@ -429,12 +432,25 @@ def test_cli_resonances_keep_the_columns_that_have_values(capsys):
     assert rows[0] == ["epsilon", "kd_over_pi", "mean_tau_star",
                        "tau_cl_star", "transmission"]
     assert len(rows) == 5
-    for row in rows[1:]:
-        cells = [float(cell) for cell in row]
-        assert math.isnan(cells[2])
-        assert all(math.isfinite(cells[j]) for j in (0, 1, 3, 4))
+    cells = [[float(cell) for cell in row] for row in rows[1:]]
+    assert [math.isnan(row[2]) for row in cells] == [True, True, True, False]
+    assert all(math.isfinite(row[j]) for row in cells for j in (0, 1, 3, 4))
     assert ("\nqbarrier: mean_tau_star: DomainError: closed mean is "
             "indeterminate") in captured.err
+
+
+def test_cli_figure5_loads_no_scipy():
+    # figure5 is the damped C_D curve: the height sweep with its FFT and
+    # the sine integral, both numpy-only.  A fresh interpreter on the same
+    # package copy runs it and lists the scipy modules it loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    probe = ("import os, sys; from qbarrier.cli import main; "
+             "code = main(['figure5', '--no-timestamp', '--out', os.devnull]); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0 []"
 
 
 def test_cli_runs_without_the_reference_module():

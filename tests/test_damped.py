@@ -206,6 +206,18 @@ def test_w_D_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_next_fast_len_matches_scipy():
+    # the FFT length of the height sweep, and with it every bit of C_D,
+    # must stay what scipy.fft chose when it supplied the length
+    from scipy.fft import next_fast_len
+
+    rng = np.random.default_rng(16)
+    sizes = np.concatenate([np.arange(1, 20001),
+                            rng.integers(20001, 5_000_001, 500)])
+    assert [damped._next_fast_len(int(n)) for n in sizes] == \
+        [next_fast_len(int(n)) for n in sizes]
+
+
 def test_suppression_above_barrier():
     # damping drains the resonant part of the transmission
     ratio = (abs(amplitude_w_D(2.0, 5.0, STD).value) ** 2

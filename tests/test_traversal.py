@@ -3,15 +3,22 @@ and the cumulative amplitude."""
 
 import math
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import sici
 
+import qbarrier
 from qbarrier.damped import amplitude_w_D, amplitude_w_D_height_sweep
 from qbarrier.errors import DomainError, WindowError
 from qbarrier.kernel import DampingKernel
-from qbarrier.traversal import (SpectralGrid, cumulative_amplitude,
+from qbarrier.traversal import (SpectralGrid, _half_pi_minus_si,
+                                cumulative_amplitude,
                                 distribution_F, distribution_F_D,
                                 mean_traversal_closed,
                                 mean_traversal_derivative)
@@ -317,3 +324,49 @@ def test_cumulative_refuses_a_time_whose_phase_overflows():
             cumulative_amplitude(1.3, 5.0, kernel, [0.0, 1e307])
     res = cumulative_amplitude(1.3, 5.0, STD, [4.3e305])
     assert np.all(np.isfinite(res.values))
+
+
+def test_half_pi_minus_si_matches_40_digits():
+    # 0 up to W tau = 409.6 * 30 = 12288, the largest of figure5, densely
+    # across the switch from series to continued fraction at 2 and past 4
+    xs = np.concatenate([np.linspace(0.0, 8.0, 401),
+                         np.geomspace(8.0, 12288.0, 200)[1:],
+                         np.nextafter(2.0, [0.0, 4.0]),
+                         np.nextafter(4.0, [0.0, 8.0])])
+    got = _half_pi_minus_si(xs)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.pi / 2 - mpmath.si(mpmath.mpf(x)))
+                        for x in xs])
+    assert got[0] == 0.5 * math.pi  # so that C_D(0) is exactly 0
+    assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_half_pi_minus_si_far_tail_is_finite():
+    # out to the largest double, which W tau reaches before the overflow
+    # guard of cumulative_amplitude: finite, silent, and inside the
+    # |cos x| / x envelope of the asymptotic series
+    xs = np.append(np.geomspace(1e6, 1e308, 399), sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _half_pi_minus_si(xs)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got) <= 2.0 / xs)
+
+
+def test_cumulative_and_distribution_load_no_scipy():
+    # the damped C_D curve on the figure5 grid (height sweep, FFT, sine
+    # integral) and both traversal distributions run on numpy alone; a
+    # fresh interpreter on the same package copy lists what they loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    probe = ("import sys, numpy as np; "
+             "from qbarrier.kernel import DampingKernel; "
+             "from qbarrier.sweep import run_distribution; "
+             "from qbarrier.traversal import cumulative_amplitude; "
+             "cumulative_amplitude(1.3, 5.0, DampingKernel(5e-3, 100.0), "
+             "np.linspace(0.0, 30.0, 301)); "
+             "run_distribution(5.0, 1.3, 0.0, 8.0, 50, [5e-3], 100.0); "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

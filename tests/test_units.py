@@ -53,3 +53,15 @@ def test_resonance_energies_phase_condition():
     for n, e in enumerate(eps, start=1):
         assert math.sqrt(e - 1.0) * width == pytest.approx(n * math.pi,
                                                            rel=1e-14)
+
+
+def test_resonance_energies_refuse_a_rounded_phase():
+    # 1 + (pi / width)^2 keeps the square to 7.4e-8 relative at 1e5, but
+    # misses it by 5.7e-6 at 1e6 and by 0.10 at 1e8
+    eps = resonance_energies(1e5, 4)
+    n = np.arange(1, 5)
+    np.testing.assert_allclose(eps - 1.0, (n * math.pi / 1e5) ** 2,
+                               rtol=1e-6)
+    for width in (1e6, 1e8):
+        with pytest.raises(DomainError, match="by more than 1e-6 relative"):
+            resonance_energies(width, 4)

@@ -33,13 +33,13 @@ The cumulative suppressed amplitude uses the causal sine-kernel form
 ``H0 = H(0)`` the suppressed amplitude itself.  ``H0`` goes through the
 sine integral exactly.  Of the remainder ``(H - H0) / (pi w)`` only the
 odd part counts, sin being odd; the linear Filon rule integrates it as
-one closed ``sinc^2``-weighted sum for every ``tau``, exactly 0 at 0.
+one closed ``sinc^2``-weighted sum, exactly 0 at 0, whose ``N`` sines
+come by angle addition from about ``4 sqrt(N)`` per ``tau``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -307,30 +307,30 @@ def cumulative_amplitude(
     odd = (heights[n_half + 1:] + heights[n_half - 1::-1] - 2.0 * h0) / (
         math.pi * omegas)
     # linear Filon in closed form: the hat at w_k integrates to
-    # h sinc^2(tau h/2) sin(w_k tau); the half hat at W adds an edge term
-    columns = np.stack([odd.real, odd.imag], axis=1)
-    columns[-1] *= 0.5
+    # h sinc^2(tau h/2) sin(w_k tau); the half hat at W adds an edge term.
+    # By angle addition over w_k = (b L + j + 1) h, with L = ceil(sqrt(N))
+    # (span) and b below B = ceil(N / L) (count), a tau needs sin and cos of
+    # (j + 1) h tau and b L h tau: 2 (L + B), not N; the sums over j are
+    # products with the zero-padded table[j, (re/im, b)]
+    span = math.isqrt(n_half - 1) + 1
+    count = -(-n_half // span)
+    table = np.zeros((2, count * span))
+    table[:, :n_half] = odd.real, odd.imag
+    table[:, n_half - 1] *= 0.5
+    table = table.reshape(2 * count, span).T
+    coarse = step * (span * np.arange(count))
     flat = taus.ravel()
     sums = np.empty((flat.size, 2))
-    # blocks of a fixed row count (the matmul's bits depend on it) go to the
-    # cores, each worker filling its own phase buffer allocated here
-    rows = max(1, (1 << 18) // omegas.size)
-    starts = range(0, flat.size, rows)
-    workers = max(1, min(len(starts), len(os.sched_getaffinity(0))))
-    buffers = np.empty((workers, min(rows, flat.size), omegas.size))
-
-    def filon_blocks(k):
-        for i0 in starts[k::workers]:
-            phases = buffers[k][:min(rows, flat.size - i0)]
-            np.multiply(flat[i0:i0 + rows, None], omegas[None, :], out=phases)
-            sums[i0:i0 + rows] = np.sin(phases, out=phases) @ columns
-
-    if workers == 1:
-        filon_blocks(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(filon_blocks, range(workers)))
+    # row blocks keep each trig table within 2^18 elements, 29 rows or more
+    rows = (1 << 18) // (2 * (span + count))
+    for i0 in range(0, flat.size, rows):
+        block = flat[i0:i0 + rows, None]
+        inner, outer = block * omegas[:span], block * coarse
+        cos_part = (np.cos(inner) @ table).reshape(-1, 2, count)
+        sin_part = (np.sin(inner) @ table).reshape(-1, 2, count)
+        sums[i0:i0 + rows] = (
+            (cos_part * np.sin(outer)[:, None]).sum(axis=2)
+            + (sin_part * np.cos(outer)[:, None]).sum(axis=2))
     edge = np.divide(odd[-1] * np.cos(w_half * flat)
                      * (1.0 - np.sinc(step * flat / math.pi)), flat,
                      out=np.zeros(flat.shape, dtype=complex), where=flat > 0.0)

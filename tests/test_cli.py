@@ -257,10 +257,9 @@ def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
 
 
 def test_cli_import_path_is_lean():
-    # no run-time path loads scipy; sweeps run serially, and the one
-    # thread pool, which spreads a C_D curve's Filon blocks over the cores,
-    # is imported by that call alone.  A fresh interpreter shows what each
-    # import pulls in
+    # no run-time path loads scipy, and every sweep, C_D included, runs on
+    # one thread, so nothing imports a thread pool.  A fresh interpreter
+    # shows what each import pulls in
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
     for module in ("qbarrier.cli", "qbarrier"):
         probe = (f"import {module}, sys; "
@@ -397,8 +396,7 @@ def test_cli_width_whose_heights_overflow_fails_with_a_reason(
     ids=["transmission", "weak-damping", "cumulative", "figure5"])
 def test_cli_damped_output_matches_its_golden(capsys, golden, argv):
     # w_D cells rest on the spectral panel layout and C_D cells on the
-    # height sweep and the Filon blocks (figure5: 301 times, blocks of 8
-    # rows and a partial last one); each golden is
+    # height sweep and the angle-addition Filon sum; each golden is
     # `python -m qbarrier ARGV --no-timestamp` and pins them byte for byte
     assert main(argv + ["--no-timestamp"]) == 0
     expected = (Path(__file__).parent / "goldens" / golden).read_text()
@@ -441,13 +439,15 @@ def test_cli_resonances_keep_the_columns_that_have_values(capsys):
 
 def test_cli_figure5_loads_no_scipy():
     # figure5 is the damped C_D curve: the height sweep with its FFT and
-    # the sine integral, both numpy-only.  A fresh interpreter on the same
-    # package copy runs it and lists the scipy modules it loaded
+    # the sine integral, both numpy-only, and the Filon sum on one thread.
+    # A fresh interpreter on the same package copy runs it and lists the
+    # scipy and thread-pool modules it loaded
     env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
     probe = ("import os, sys; from qbarrier.cli import main; "
              "code = main(['figure5', '--no-timestamp', '--out', os.devnull]); "
              "print(code, sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+             "if m in ('scipy', 'concurrent.futures') "
+             "or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.strip() == "0 []"

@@ -14,6 +14,7 @@ import pytest
 from scipy.special import sici
 
 import qbarrier
+from qbarrier import traversal
 from qbarrier.damped import amplitude_w_D, amplitude_w_D_height_sweep
 from qbarrier.errors import DomainError, WindowError
 from qbarrier.kernel import DampingKernel
@@ -283,37 +284,99 @@ def test_cumulative_input_validation():
         cumulative_amplitude(1.3, 5.0, DampingKernel(1e-5, 10.0), [1.0])
 
 
-@pytest.mark.parametrize("gamma, taus, cores", [
-    (5e-3, np.linspace(0.0, 30.0, 301), (1, None, 3)),
-    (1e-3, np.linspace(0.0, 5.0, 11), (1, None))],
+def _long_double_cumulative(epsilon, width, kernel, taus, step, w_half):
+    """C_D by the same linear Filon rule on the same heights, one sine per
+    node, each phase tau w_k formed in long double as a number of turns and
+    cut to its fraction, so that every sine is good to about 2e-16 however
+    large tau w_k grows; the sums and the rest of the assembly in long
+    double too."""
+    ld = np.longdouble
+    n_half = int(round(w_half / step))
+    grid = step * np.arange(-n_half, n_half + 1)
+    heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid)
+    h0 = complex(heights[n_half])
+    odd = (heights[n_half + 1:] + heights[n_half - 1::-1] - 2.0 * h0) / (
+        math.pi * grid[n_half + 1:])
+    coeffs = np.stack([odd.real, odd.imag]).astype(ld)
+    coeffs[:, -1] *= 0.5
+    turn = 8 * np.arctan(ld(1))
+    turns = np.arange(1, n_half + 1, dtype=ld) * (ld(step) / turn)
+    sums = np.empty((taus.size, 2), dtype=ld)
+    for i, tau in enumerate(taus.astype(ld)):
+        phases = tau * turns
+        phases -= phases.astype(np.int64)
+        sums[i] = coeffs @ np.sin((turn * phases).astype(float)).astype(ld)
+    tau, x = taus.astype(ld), ld(0.5 * step) * taus.astype(ld)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinc2 = np.where(tau > 0, (np.sin(x) / x) ** 2, 1)
+        edge = np.where(tau > 0, np.cos(ld(w_half) * tau)
+                        * (1 - np.sin(2 * x) / (2 * x)) / tau, 0)
+    integrals = (ld(step) * sinc2 * (sums[:, 0] + 1j * sums[:, 1])
+                 - np.clongdouble(odd[-1]) * edge)
+    values = (1 + integrals / np.clongdouble(h0)
+              - (4 / turn) * _half_pi_minus_si(w_half * taus))
+    return values.astype(complex)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("gamma", [0.0, 5e-3, 1e-3])
+def test_cumulative_meets_the_long_double_filon_sum(gamma):
+    # the angle-addition sum rounds only B + L phases of size up to W tau
+    # per time, not N: on the figure5 grid it lies within 3e-15 (6.1e-15 at
+    # gamma 1e-3) of the long double rule, where one sine per node missed
+    # by up to 1.75e-14
+    kernel = DampingKernel(gamma, 100.0)
+    taus = np.linspace(0.0, 30.0, 301)
+    res = cumulative_amplitude(1.3, 5.0, kernel, taus)
+    ref = _long_double_cumulative(1.3, 5.0, kernel, taus, res.step,
+                                  res.halfwidth)
+    assert res.values[0] == 0.0
+    assert np.max(np.abs(res.values - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma, taus", [
+    (5e-3, np.linspace(0.0, 30.0, 301)),
+    (1e-3, np.linspace(0.0, 30.0, 2001))],
     ids=["figure5", "one-row-blocks"])
 def test_cumulative_does_not_depend_on_the_core_count(monkeypatch, gamma,
-                                                      taus, cores):
-    # the Filon blocks go to one thread per core; every block keeps its row
-    # count (8 rows and a partial last block on the figure5 grid, one row
-    # at gamma 1e-3), so the values are the same for any number of cores
+                                                      taus):
+    # the Filon sum runs on one thread: a single allowed core gives the same
+    # bits.  What could still move them is where the row blocks fall: the
+    # figure5 grid is one block, 2001 times at gamma 1e-3 fill 13, the last
+    # one partial; every 20th time alone in a call (one row, one block)
+    # agrees to 1e-15.  All calls share epsilon, width and kernel, so one
+    # height sweep serves them all
     kernel = DampingKernel(gamma, 100.0)
-    real = os.sched_getaffinity
-    values = {}
-    for n in cores:
-        fake = real if n is None else (lambda pid, n=n: set(range(n)))
-        monkeypatch.setattr(os, "sched_getaffinity", fake)
-        values[n] = cumulative_amplitude(1.3, 5.0, kernel, taus).values
-    assert all(np.all(v == values[1]) for v in values.values())
+    sweep = traversal.amplitude_w_D_height_sweep
+    heights = []
+
+    def sweep_once(*args):
+        if not heights:
+            heights.append(sweep(*args))
+        return heights[0]
+
+    monkeypatch.setattr(traversal, "amplitude_w_D_height_sweep", sweep_once)
+    values = cumulative_amplitude(1.3, 5.0, kernel, taus).values
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert np.all(cumulative_amplitude(1.3, 5.0, kernel, taus).values
+                  == values)
+    alone = [cumulative_amplitude(1.3, 5.0, kernel, taus[i:i + 1]).values[0]
+             for i in range(0, taus.size, 20)]
+    assert values[0] == alone[0] == 0.0
+    assert np.max(np.abs(values[::20] - alone)) <= 1e-15
 
 
-def test_cumulative_keeps_the_shape_of_its_times(monkeypatch):
-    # empty, scalar and 2-D times (21 of them: three blocks of 8 rows)
+def test_cumulative_keeps_the_shape_of_its_times():
+    # empty, scalar and 2-D times: the shape comes back, and the values
+    # are those of the same times passed flat
     clean = DampingKernel(0.0, 100.0)
     for shape in [(0,), (), (3, 7), (0, 3)]:
         taus = np.linspace(0.0, 3.0, math.prod(shape)).reshape(shape)
-        values = []
-        for n in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid, n=n: set(range(n)))
-            values.append(cumulative_amplitude(1.3, 5.0, clean, taus).values)
-        assert values[0].shape == values[1].shape == shape
-        assert np.all(values[0] == values[1])
+        values = cumulative_amplitude(1.3, 5.0, clean, taus).values
+        flat = cumulative_amplitude(1.3, 5.0, clean, taus.ravel()).values
+        assert values.shape == shape
+        assert np.all(values.ravel() == flat)
 
 
 def test_cumulative_refuses_a_time_whose_phase_overflows():

@@ -5,9 +5,12 @@ time, or resonance index) plus one series per damping rate, with the
 clean ``g0`` baseline always present where it makes sense.  Complex
 quantities are emitted as magnitudes; that keeps the column schema flat
 and matches how the curves are plotted.  Failed points are recorded as
-NaN cells, never silently dropped; ``SweepResult.failures`` counts them
-off the table, and the first exception of each failed column is kept, so
-a caller can emit the partial table and still say what failed and why.
+NaN cells, never silently dropped, under one policy kept by ``_cell``: a
+cell (a whole column of a time-grid sweep) whose computation raises a
+package error is written as NaN, error estimate included, and the first
+exception of each failed column is kept; any other exception propagates.
+``SweepResult.failures`` counts the NaN cells, so a caller can emit the
+partial table and still say what failed and why.
 
 Every sweep runs serially, point by point in input order.
 """
@@ -58,46 +61,51 @@ class SweepResult:
 
 
 def _with_baseline(gammas) -> list:
-    out = []
+    out = {0.0}  # in first, so a -0.0 rate repeats the +0.0 baseline
     for g in gammas:
         if not g >= 0.0:
             raise DomainError(f"damping rates must be nonnegative, got {g!r}")
-        if g not in out:
-            out.append(float(g))
-    if 0.0 not in out:
-        out.insert(0, 0.0)
+        out.add(float(g))
     return sorted(out)
+
+
+def _cell(cells, index, reasons, label, compute) -> None:
+    """Store ``compute()`` at ``cells[index]``, a cell or a column.  On a
+    package error store nan there instead and keep the first exception of
+    column ``label``; any other exception propagates."""
+    try:
+        cells[index] = compute()
+    except QBarrierError as exc:
+        cells[index] = math.nan
+        reasons.setdefault(label, exc)
 
 
 def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
                      *, tol: float = 1e-6) -> SweepResult:
     """Transmission probability curves, one series per damping rate."""
     gammas = _with_baseline(gammas)
+    labels = [gamma_label(g) for g in gammas]
     eps = np.asarray(epsilons, dtype=float)
-    table = np.empty((eps.size, len(gammas)))
-    errors, reasons = {}, {}
+    cells = np.zeros((eps.size, len(gammas), 2))  # (|w_D|^2, its error)
+    reasons = {}
     for col, g in enumerate(gammas):
-        label = gamma_label(g)
         if g == 0.0:
-            table[:, col] = transmission_prob(eps, width)
-            errors[label] = [0.0] * eps.size
+            cells[:, col, 0] = transmission_prob(eps, width)
             continue
         kernel = DampingKernel(g, cutoff)
-        errs = errors[label] = []
         for i, e in enumerate(eps):
-            try:
-                res = amplitude_w_D(e, width, kernel, tol=tol)
-                table[i, col] = abs(res.value) ** 2
-                errs.append(2.0 * abs(res.value) * res.error_estimate)
-            except QBarrierError as exc:
-                table[i, col] = math.nan
-                errs.append(math.nan)
-                reasons.setdefault(label, exc)
+            _cell(cells, (i, col), reasons, labels[col],
+                  lambda: _probability(amplitude_w_D(e, width, kernel,
+                                                     tol=tol)))
     params = dict(width=width, cutoff=cutoff, tol=tol,
                   gammas=gammas, n_points=eps.size)
-    return SweepResult("transmission", "epsilon", eps,
-                       [gamma_label(g) for g in gammas], table, params,
-                       errors, reasons)
+    return SweepResult("transmission", "epsilon", eps, labels, cells[..., 0],
+                       params, dict(zip(labels, cells[..., 1].T.tolist())),
+                       reasons)
+
+
+def _probability(res) -> tuple:
+    return abs(res.value) ** 2, 2.0 * abs(res.value) * res.error_estimate
 
 
 def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
@@ -105,21 +113,20 @@ def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
     crossing time, in tau_star units.  The derivative route rides along
     as a per-point error estimate."""
     eps = np.asarray(epsilons, dtype=float)
-    table = np.empty((eps.size, 1))
-    errs = []
+    cells = np.empty((eps.size, 2))  # (deviation, gap between the routes)
     reasons = {}
     for i, e in enumerate(eps):
-        try:
-            closed = mean_traversal_closed(float(e), width)
-            table[i, 0] = abs(closed) - classical_crossing_time(float(e))
-            errs.append(abs(closed - mean_traversal_derivative(float(e), width)))
-        except QBarrierError as exc:
-            table[i, 0] = math.nan
-            errs.append(math.nan)
-            reasons.setdefault("g0", exc)
+        _cell(cells, i, reasons, "g0", lambda: _deviation(float(e), width))
     params = dict(width=width, n_points=eps.size)
     return SweepResult("mean_tau_deviation", "epsilon", eps, ["g0"],
-                       table, params, {"g0": errs}, reasons)
+                       cells[:, :1], params, {"g0": cells[:, 1].tolist()},
+                       reasons)
+
+
+def _deviation(epsilon: float, width: float) -> tuple:
+    closed = mean_traversal_closed(epsilon, width)
+    return (abs(closed) - classical_crossing_time(epsilon),
+            abs(closed - mean_traversal_derivative(epsilon, width)))
 
 
 def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
@@ -131,12 +138,9 @@ def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
     reasons = {}
     for col, g in enumerate(gammas):
         kernel = DampingKernel(g, cutoff)
-        try:
-            res = cumulative_amplitude(epsilon, width, kernel, taus)
-            table[:, col] = np.abs(res.values)
-        except QBarrierError as exc:
-            table[:, col] = math.nan
-            reasons[gamma_label(g)] = exc
+        _cell(table, np.s_[:, col], reasons, gamma_label(g),
+              lambda: np.abs(cumulative_amplitude(epsilon, width, kernel,
+                                                  taus).values))
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
                   n_points=taus.size)
     return SweepResult("cumulative", "tau_star", taus,
@@ -163,16 +167,11 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
     table = np.empty((idx.size, len(gammas)))
     reasons = {}
     for col, g in enumerate(gammas):
-        try:
-            if g == 0.0:
-                dist = base
-            else:
-                dist = distribution_F_D(
-                    epsilon, width, DampingKernel(g, cutoff), grid=grid)
-            table[:, col] = np.abs(dist.positive_values[idx])
-        except QBarrierError as exc:
-            table[:, col] = math.nan
-            reasons[gamma_label(g)] = exc
+        def column():
+            dist = base if g == 0.0 else distribution_F_D(
+                epsilon, width, DampingKernel(g, cutoff), grid=grid)
+            return np.abs(dist.positive_values[idx])
+        _cell(table, np.s_[:, col], reasons, gamma_label(g), column)
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
                   window=grid.window, period=grid.period)
     return SweepResult("distribution", "tau_star", times[idx],
@@ -188,11 +187,8 @@ def run_resonances(width: float, count: int) -> SweepResult:
     reasons = {}
     for i, e in enumerate(eps):
         table[i, 0] = math.sqrt(e - 1.0) * width / math.pi
-        try:
-            table[i, 1] = mean_traversal_closed(float(e), width).real
-        except QBarrierError as exc:
-            table[i, 1] = math.nan
-            reasons.setdefault("mean_tau_star", exc)
+        _cell(table, (i, 1), reasons, "mean_tau_star",
+              lambda: mean_traversal_closed(float(e), width).real)
         table[i, 2] = classical_crossing_time(float(e))
         table[i, 3] = transmission_prob(float(e), width)
     params = dict(width=width, count=count)

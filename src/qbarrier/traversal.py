@@ -39,12 +39,13 @@ come by angle addition from about ``4 sqrt(N)`` per ``tau``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barrier import (amplitude_w, amplitude_w_complex_height,
+from .barrier import (_DEEP_IMAG, amplitude_w, amplitude_w_complex_height,
                       check_height_shift)
 from .damped import amplitude_w_D_height_sweep
 from .errors import DegenerateSuppressionError, DomainError, WindowError
@@ -57,7 +58,8 @@ _SPAN_FACTOR = 8.0
 # when the kernel's slowest decay rate needs finer sampling
 _CUMULATIVE_HALFWIDTH = 409.6
 _CUMULATIVE_MAX_STEP = 0.0125
-# coarse height step of the derivative route to the mean traversal time
+# coarse height step of the derivative route to the mean traversal time,
+# shrunk on wide barriers (see _derivative_step)
 _DERIVATIVE_STEP = 1e-4
 # pi/2 - Si: series terms below x = 2 and continued-fraction depth from 2 up,
 # each converged to the last bit at x = 2 (the fraction by depth 90)
@@ -199,7 +201,8 @@ def mean_traversal_closed(epsilon: float, width: float) -> complex:
     Valid away from ``epsilon = 1`` where the expression turns 0/0 (the
     limit exists; use the derivative route there).  The real part crosses
     the classical crossing time at the resonances, where the mean is
-    exactly real.
+    exactly real.  Deep below the barrier, where sin^2(kappa d) would
+    overflow, numerator and denominator are divided by it.
     """
     if not width > 0.0:
         raise DomainError(f"width must be positive, got {width!r}")
@@ -207,13 +210,32 @@ def mean_traversal_closed(epsilon: float, width: float) -> complex:
         raise DomainError("closed mean is indeterminate at epsilon = 1")
     k, kappa = wave_numbers(float(epsilon))
     theta = kappa * width
-    s, c = np.sin(theta), np.cos(theta)
     asum = k * k + kappa * kappa
     bdif = k * k - kappa * kappa
+    if theta.imag > _DEEP_IMAG:
+        # divided through by sin^2, which overflows: there cot = -i and
+        # 1 / sin^2 = -4 e^{2 i theta} to double precision
+        inv_s2 = -4.0 * cmath.exp(2j * theta)
+        den = bdif * bdif + 4.0 * k * k * kappa * kappa * inv_s2
+        re_term = (2.0 * k / kappa) * (asum * theta * inv_s2 + 1j * bdif) / den
+        im_term = (bdif / (kappa * kappa)) * (-1j * bdif * theta - asum) / den
+        return complex((re_term + 1j * im_term) / width)
+    s, c = np.sin(theta), np.cos(theta)
     den = bdif * bdif * s * s + 4.0 * k * k * kappa * kappa
     re_term = (2.0 * k / kappa) * (asum * theta - bdif * s * c) / den
     im_term = (bdif * s / (kappa * kappa)) * (bdif * theta * c - asum * s) / den
     return complex((re_term + 1j * im_term) / width)
+
+
+def _derivative_step(epsilon: float, width: float) -> float:
+    """``_DERIVATIVE_STEP``, or where it is smaller the power of two below
+    a hundredth of the internal phase scale per width: the phase turns
+    faster with the height on wide barriers, and a power of two keeps
+    ``1 +- h`` and ``1 +- h/2`` exact."""
+    scale = 0.01 * max(abs(epsilon - 1.0), (math.pi / width) ** 2) / width
+    if scale >= _DERIVATIVE_STEP:
+        return _DERIVATIVE_STEP
+    return math.ldexp(0.5, math.frexp(scale)[1])
 
 
 def mean_traversal_derivative(epsilon: float, width: float) -> complex:
@@ -227,8 +249,9 @@ def mean_traversal_derivative(epsilon: float, width: float) -> complex:
         dn = amplitude_w_complex_height(epsilon, width, 1.0 - h)
         return (up - dn) / (2.0 * h * bare)
 
-    coarse = central(_DERIVATIVE_STEP)
-    fine = central(0.5 * _DERIVATIVE_STEP)
+    step = _derivative_step(float(epsilon), width)
+    coarse = central(step)
+    fine = central(0.5 * step)
     return complex((2.0j / width) * (4.0 * fine - coarse) / 3.0)
 
 

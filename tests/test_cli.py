@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import qbarrier
+from qbarrier import quadrature, sweep
 from qbarrier.barrier import transmission_prob
 from qbarrier.cli import main
+from qbarrier.errors import DomainError, NonConvergenceError, WindowError
 from qbarrier.sweep import (format_csv, format_json, gamma_label,
+                            run_cumulative, run_distribution,
                             run_mean_deviation, run_resonances,
                             run_transmission)
 
@@ -54,6 +57,94 @@ def test_run_resonances_table():
     # delay above the classical time shrinks with the order
     excess = res.table[:, 1] - res.table[:, 2]
     assert np.all(np.diff(excess) < 0.0)
+
+
+def test_negative_zero_rate_is_the_clean_baseline(capsys):
+    # -0 compares equal to the baseline and must not get a g-0 column
+    res = run_transmission(5.0, [1.3], [-0.0, 5e-3], 100.0)
+    assert res.columns == ["g0", "g0.005"]
+    assert math.copysign(1.0, res.params["gammas"][0]) == 1.0
+    for argv, same in (
+            (["transmission", "--epsilon-range", "1:2:3"], []),
+            (["traversal", "--tau-range", "0:8:20"], ["--gamma-star", "0"])):
+        assert main(argv + same + ["--no-timestamp"]) == 0
+        clean = capsys.readouterr()
+        assert main(argv + ["--gamma-star", "-0", "--no-timestamp"]) == 0
+        assert capsys.readouterr() == clean
+
+
+def _transmission_past_its_budget(monkeypatch):
+    # too few quadrature panels for tol 1e-10 at epsilon 2: see
+    # test_damped's nonconvergence test
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 62)
+    return run_transmission(5.0, [1.5, 2.0], [5e-3], 100.0, tol=1e-10)
+
+
+# (failing run, failed cells, first exception per failed column)
+_FAILING_RUNS = {
+    "transmission": (
+        _transmission_past_its_budget, 1,
+        {"g0.005": (NonConvergenceError, "epsilon 2.0")}),
+    "mean_deviation": (
+        lambda _: run_mean_deviation(5.0, [1.0, 2.0, -1.0]), 2,
+        {"g0": (DomainError, "indeterminate at epsilon = 1")}),
+    "cumulative": (
+        lambda _: run_cumulative(5.0, 1.3, [0.0, 1e307], [5e-3], 100.0), 4,
+        {"g0": (DomainError, "too large"),
+         "g0.005": (DomainError, "too large")}),
+    "distribution": (
+        lambda _: run_distribution(5.0, 1.3, 0.0, 8.0, 20, [5.0], 1000.0), 21,
+        {"g5": (WindowError, "reaches the spectral window")}),
+    "resonances": (
+        lambda _: run_resonances(1e5, 2), 2,
+        {"mean_tau_star": (DomainError, "indeterminate at epsilon = 1")}),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAILING_RUNS))
+def test_runner_writes_package_errors_as_nan_cells(monkeypatch, name):
+    run, failed, first = _FAILING_RUNS[name]
+    res = run(monkeypatch)
+    nan = np.isnan(res.table)
+    assert res.failures == failed == np.count_nonzero(nan)
+    # one reason per failed column: the first exception raised in it
+    failed_columns = [c for j, c in enumerate(res.columns) if nan[:, j].any()]
+    assert list(res.reasons) == failed_columns == list(first)
+    for label, (kind, text) in first.items():
+        assert type(res.reasons[label]) is kind
+        assert text in str(res.reasons[label])
+    # an error estimate is nan exactly where its value is
+    for label, errs in res.errors.items():
+        column = res.columns.index(label)
+        assert np.array_equal(np.isnan(errs), nan[:, column]), label
+
+
+_ENGINE_CALL = {
+    "transmission": (lambda: run_transmission(5.0, [1.3], [5e-3], 100.0),
+                     "amplitude_w_D"),
+    "mean_deviation": (lambda: run_mean_deviation(5.0, [2.0]),
+                       "mean_traversal_closed"),
+    "cumulative": (lambda: run_cumulative(5.0, 1.3, [1.0], [], 100.0),
+                   "cumulative_amplitude"),
+    "distribution": (
+        lambda: run_distribution(5.0, 1.3, 0.0, 8.0, 20, [5e-3], 100.0),
+        "distribution_F_D"),
+    "resonances": (lambda: run_resonances(5.0, 2), "mean_traversal_closed"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENGINE_CALL))
+def test_runner_propagates_errors_outside_the_package(monkeypatch, name):
+    # only a package error is a failed cell; anything else is a bug and
+    # must not be hidden as nan
+    run, engine = _ENGINE_CALL[name]
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("not a package error")
+
+    monkeypatch.setattr(sweep, engine, broken)
+    with pytest.raises(ZeroDivisionError, match="not a package error"):
+        run()
 
 
 def test_format_csv_roundtrip_precision():

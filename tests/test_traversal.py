@@ -161,6 +161,29 @@ def test_mean_deviation_peaks_sit_below_resonances():
         assert fd == pytest.approx(height, rel=1e-6)
 
 
+@pytest.mark.parametrize("width", [20.0, 100.0, 1e3, 1e4])
+def test_mean_derivative_route_holds_on_wide_barriers(width):
+    # the internal phase turns by width / (2 kappa) per unit of height, so
+    # a fixed height step spans more of it as the barrier widens; the
+    # route shrinks its step to keep the Richardson pass accurate
+    for e in resonance_energies(width, 3):
+        closed = mean_traversal_closed(float(e), width)
+        deriv = mean_traversal_derivative(float(e), width)
+        assert abs(deriv - closed) <= 1e-8 * abs(closed), e
+
+
+@pytest.mark.parametrize("width", [500.0, 1000.0])
+def test_mean_closed_deep_below_the_barrier(width):
+    # sin^2(kappa d) overflows from Im(kappa d) ~ 355; the closed form
+    # then divides through by it and tends to 2 / d - sqrt(2) i at 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = mean_traversal_closed(0.5, width)
+        deriv = mean_traversal_derivative(0.5, width)
+    assert abs(closed - deriv) <= 1e-6
+    assert abs(closed - (2.0 / width - math.sqrt(2.0) * 1j)) <= 1e-12
+
+
 def test_mean_closed_indeterminate_near_unit_energy():
     with pytest.raises(DomainError):
         mean_traversal_closed(1.0, 5.0)

@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .barrier import (amplitude_w, amplitude_w_complex_height,
                       transmission_prob)
-from .damped import amplitude_w_D, subtraction_ladder
+from .damped import amplitude_w_D
 from .errors import (DegenerateKernelError, DegenerateSuppressionError,
                      DomainError, NonConvergenceError, PoleError,
                      QBarrierError, WindowError)
@@ -40,7 +40,6 @@ __all__ = [
     "mean_traversal_closed",
     "mean_traversal_derivative",
     "resonance_energies",
-    "subtraction_ladder",
     "transmission_prob",
     "wave_numbers",
     "__version__",

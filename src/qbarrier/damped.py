@@ -28,10 +28,10 @@ envelope and an empirical sample at the window edge feed the reported
 error bound.  The clean limit gamma = 0 short-circuits to the bare
 amplitude exactly.
 
-Panels recur across energies, so a table per kernel, held here and
-dropped with the kernel, keeps the ladder and each panel's residual row,
-keyed by its node bytes and computed once by its own 15-node call: no
-result changes by a bit, and equal kernels share their rows.
+A table per kernel, held here and dropped with the kernel, keeps the
+ladder that ``amplitude_w_D`` and the height sweep both read, and each
+panel's residual row, keyed by its node bytes and computed once by its
+own 15-node call: no result changes by a bit, and equal kernels share.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .kernel import DampingKernel
 from .quadrature import integrate_adaptive
 
 _LADDER_ORDER = 4
-# per kernel: its ladder under "ladder" and the residual rows of amplitude_w_D
+# per kernel: (its ladder, the residual rows of amplitude_w_D by node bytes)
 _RESIDUAL_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -59,14 +59,7 @@ class SubtractionLadder:
 
     rates: np.ndarray
     weights: np.ndarray
-    taylor: np.ndarray
-
-    @property
-    def mismatch(self) -> float:
-        """Mismatch of the first unmatched derivative, the residual scale."""
-        p = len(self.rates)
-        model = float(np.sum(self.weights * (-self.rates) ** p).real)
-        return abs(float(self.taylor[p]) - model)
+    mismatch: float  # of the first unmatched derivative, the residual scale
 
     def spectrum(self, omega) -> np.ndarray:
         """Transform of the ladder, ``sum_j a_j / (s_j + i omega)``."""
@@ -87,13 +80,22 @@ def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
     taylor = kernel.taylor_sqrt_f(_LADDER_ORDER)
     vand = (-rates[None, :]) ** np.arange(_LADDER_ORDER)[:, None]
     weights = np.linalg.solve(vand, taylor[:_LADDER_ORDER])
-    return SubtractionLadder(rates, weights, taylor)
+    model = float(np.sum(weights * (-rates) ** _LADDER_ORDER).real)
+    return SubtractionLadder(rates, weights,
+                             abs(float(taylor[_LADDER_ORDER]) - model))
 
 
-def residual_spectrum(kernel: DampingKernel, ladder: SubtractionLadder,
-                      omega) -> np.ndarray:
-    """Kernel spectrum minus the ladder spectrum; decays like omega^-5."""
-    return kernel.sqrt_f_spectrum(omega) - ladder.spectrum(omega)
+def _table(kernel: DampingKernel) -> tuple:
+    """The kernel's (ladder, residual rows), made on first use."""
+    entry = _RESIDUAL_TABLES.get(kernel)
+    if entry is None:
+        entry = _RESIDUAL_TABLES[kernel] = (subtraction_ladder(kernel), {})
+    return entry
+
+
+def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
+    """Kernel spectrum minus its ladder's spectrum; decays like omega^-5."""
+    return kernel.sqrt_f_spectrum(omega) - _table(kernel)[0].spectrum(omega)
 
 
 @dataclass(frozen=True)
@@ -145,24 +147,20 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     if kernel.gamma == 0.0:
         return DampedAmplitude(bare, 0.0, 0.0, 0, bare)
 
-    table = _RESIDUAL_TABLES.setdefault(kernel, {})
-    if not table:
-        table["ladder"] = subtraction_ladder(kernel)
-    ladder = table["ladder"]
+    ladder, rows = _table(kernel)
 
     # grow the window until the omega^-5 envelope certifies the tail
     cutoff = max(32.0, 8.0 * float(ladder.rates[-1]))
-    tail = math.inf
     for _ in range(60):
         edges = cutoff * np.array([-1.0, -0.9, -0.8, 0.8, 0.9, 1.0])
-        g_edges = residual_spectrum(kernel, ladder, edges)
+        g_edges = residual_spectrum(kernel, edges)
         empirical = float(np.max(np.abs(g_edges) * np.abs(edges) ** 5))
         scale = max(ladder.mismatch, 2.0 * empirical)
         tail = scale / (4.0 * math.pi * cutoff ** 4)
         if tail <= 0.1 * tol:
             break
         cutoff *= 2.0
-    if tail > 0.1 * tol:
+    else:
         raise NonConvergenceError(
             f"residual tail bound stuck at {tail:.3e} for cutoff {cutoff:.3e}")
     # every height below, ladder poles included, lies within the window
@@ -183,11 +181,11 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
 
     def integrand(om):
         for row in om:
-            if row.tobytes() not in table:
-                table[row.tobytes()] = residual_spectrum(kernel, ladder, row)
+            if row.tobytes() not in rows:
+                rows[row.tobytes()] = residual_spectrum(kernel, row)
         shifted = amplitude_w_complex_height(
             epsilon, width, 1.0 - (2.0 / width) * om)
-        return shifted * np.array([table[row.tobytes()] for row in om])
+        return shifted * np.array([rows[row.tobytes()] for row in om])
 
     try:
         quad = integrate_adaptive(
@@ -202,11 +200,8 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
         ) from exc
 
     value = closed + quad.value / (2.0 * math.pi)
+    # <= 0.95 tol: the quadrature returns within 0.85 tol, the window at 0.1 tol
     error = quad.error_estimate / (2.0 * math.pi) + tail
-    if error > tol:
-        raise NonConvergenceError(
-            f"certified error {error:.3e} above tol {tol:.3e}",
-            best_estimate=value, error_estimate=error)
     return DampedAmplitude(value, error, cutoff, quad.panels_used, bare)
 
 
@@ -260,7 +255,7 @@ def amplitude_w_D_height_sweep(
     if kernel.gamma == 0.0:
         return shifted(om)
 
-    ladder = subtraction_ladder(kernel)
+    ladder = _table(kernel)[0]
     out = np.zeros(om.shape, dtype=complex)
     for aj, sj in zip(ladder.weights, ladder.rates):
         out += aj * shifted(om + 1j * sj)
@@ -270,7 +265,7 @@ def amplitude_w_D_height_sweep(
     resid_halfwidth = float(min(max(resid_halfwidth, 40.0), 200.0))
     n_half = int(math.ceil(resid_halfwidth / step))
     # conjugate-symmetric bit for bit: evaluate omega >= 0, mirror the rest
-    half = residual_spectrum(kernel, ladder, step * np.arange(n_half + 1))
+    half = residual_spectrum(kernel, step * np.arange(n_half + 1))
     g_res = np.concatenate([np.conj(half[:0:-1]), half])
     x_ext = om[0] + step * np.arange(-n_half, om.size + n_half)
     w_ext = shifted(x_ext)

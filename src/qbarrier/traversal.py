@@ -126,8 +126,7 @@ class TraversalDistribution:
     @property
     def signed_times(self) -> np.ndarray:
         n = self.times.size
-        half = n // 2
-        return np.where(np.arange(n) <= half, self.times,
+        return np.where(np.arange(n) <= n // 2, self.times,
                         self.times - self.period)
 
     @property
@@ -231,10 +230,14 @@ def _derivative_step(epsilon: float, width: float) -> float:
     """``_DERIVATIVE_STEP``, or where it is smaller the power of two below
     a hundredth of the internal phase scale per width: the phase turns
     faster with the height on wide barriers, and a power of two keeps
-    ``1 +- h`` and ``1 +- h/2`` exact."""
-    scale = 0.01 * max(abs(epsilon - 1.0), (math.pi / width) ** 2) / width
+    ``1 +- h`` and ``1 +- h/2`` exact, down to 2^-51 and no further."""
+    phase = math.pi / max(width, 1e-150)  # squared without overflow
+    scale = 0.01 * max(abs(epsilon - 1.0), phase ** 2) / width
     if scale >= _DERIVATIVE_STEP:
         return _DERIVATIVE_STEP
+    if not scale >= 2.0 ** -51:
+        raise DomainError(f"the derivative route needs a height step below "
+                          f"2**-51 at epsilon {epsilon}, width {width}")
     return math.ldexp(0.5, math.frexp(scale)[1])
 
 
@@ -243,6 +246,9 @@ def mean_traversal_derivative(epsilon: float, width: float) -> complex:
     centered differences with one Richardson pass.  The workhorse
     cross-check for the closed form."""
     bare = amplitude_w(float(epsilon), width)
+    if bare == 0.0:
+        raise DomainError(f"bare amplitude underflows to 0 at epsilon "
+                          f"{epsilon}, width {width}")
 
     def central(h: float) -> complex:
         up = amplitude_w_complex_height(epsilon, width, 1.0 + h)

@@ -1,9 +1,74 @@
 """Helpers shared by more than one test module."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qbarrier
 from qbarrier.quadrature import integrate_adaptive
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter on the copy of the
+    package this suite imported: what a run loads shows only from an
+    empty ``sys.modules``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# One fresh interpreter imports the package, runs every subcommand and
+# three engine calls, then the reference peak; after each step it records
+# the scipy and thread-pool modules loaded so far
+_FRESH_RUNS = """
+import json, os, sys
+
+def heavy():
+    return sorted(m for m in sys.modules if m == "scipy"
+                  or m.startswith(("scipy.", "concurrent.futures")))
+
+report = {"codes": {}, "heavy": {}}
+import qbarrier
+report["heavy"]["import qbarrier"] = heavy()
+import qbarrier.cli
+report["heavy"]["import qbarrier.cli"] = heavy()
+
+import numpy as np
+from qbarrier.damped import amplitude_w_D
+from qbarrier.kernel import DampingKernel
+from qbarrier.sweep import run_distribution
+from qbarrier.traversal import cumulative_amplitude
+kernel = DampingKernel(5e-3, 100.0)
+for argv in (
+        ["figure3", "--gamma-star", "0"], ["figure4"], ["figure5"],
+        ["transmission", "--epsilon-range", "1.2:1.4:3", "--gamma-star", "5e-3"],
+        ["traversal", "--tau-range", "0:8:20"],
+        ["cumulative", "--tau-range", "0:3:4"], ["resonances"]):
+    report["codes"][argv[0]] = qbarrier.cli.main(argv + ["--out", os.devnull])
+    report["heavy"][argv[0]] = heavy()
+amplitude_w_D(1.3, 5.0, kernel)
+report["heavy"]["amplitude_w_D"] = heavy()
+cumulative_amplitude(1.3, 5.0, kernel, np.linspace(0.0, 30.0, 301))
+report["heavy"]["cumulative_amplitude"] = heavy()
+run_distribution(5.0, 1.3, 0.0, 8.0, 50, [5e-3], 100.0)
+report["heavy"]["run_distribution"] = heavy()
+report["reference"] = "qbarrier.reference" in sys.modules
+report["public_from_reference"] = [
+    n for n in qbarrier.__all__
+    if getattr(getattr(qbarrier, n), "__module__", None) == "qbarrier.reference"]
+
+from qbarrier.reference import peak_time
+peak_time(kernel)
+report["peak_time_optimize"] = "scipy.optimize" in sys.modules
+print(json.dumps(report))
+"""
 
 
 def _spectrum_oracle(kernel, omega, tol):
@@ -29,3 +94,9 @@ def _spectrum_oracle(kernel, omega, tol):
 @pytest.fixture
 def spectrum_oracle():
     return _spectrum_oracle
+
+
+@pytest.fixture(scope="session")
+def fresh_runs():
+    """The report of ``_FRESH_RUNS``, made once for the whole session."""
+    return json.loads(_fresh_interpreter(_FRESH_RUNS))

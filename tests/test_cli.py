@@ -3,15 +3,11 @@ schemas, exit codes, byte-for-byte determinism, and a lean import path."""
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qbarrier
 from qbarrier import quadrature, sweep
 from qbarrier.barrier import transmission_prob
 from qbarrier.cli import main
@@ -220,6 +216,22 @@ def test_cli_figure4_preset(capsys):
     assert len(lines) == 1 + 256
 
 
+def test_cli_figure4_fails_the_cells_its_derivative_route_cannot_resolve(
+        capsys):
+    # at width 1e12 the two lowest energies need a height step below 2**-51;
+    # they printed a deviation and an error of 1.9 with exit 0
+    assert main(["figure4", "--d-over-lambda0", "1e12",
+                 "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    rows = [l.split(",") for l in captured.out.splitlines()
+            if not l.startswith(("#", "epsilon"))]
+    assert [i for i, row in enumerate(rows) if row[1] == "nan"] == [0, 1]
+    assert captured.err.splitlines() == [
+        "qbarrier: 2 cell(s) failed and are written as nan",
+        "qbarrier: g0: DomainError: the derivative route needs a height step "
+        "below 2**-51 at epsilon 1.0255859375, width 1000000000000.0"]
+
+
 def test_cli_cumulative_runs(capsys):
     code = main(["cumulative", "--tau-range", "0:3:4", "--gamma-star",
                  "0.005", "--no-timestamp"])
@@ -347,20 +359,33 @@ def test_cli_rejects_solver_options_it_does_not_read(capsys, command, option):
         capsys.readouterr().err
 
 
-def test_cli_import_path_is_lean():
+def test_cli_import_path_is_lean(fresh_runs):
     # no run-time path loads scipy, and every sweep, C_D included, runs on
-    # one thread, so nothing imports a thread pool.  A fresh interpreter
+    # one thread, so nothing imports a thread pool.  The fresh interpreter
     # shows what each import pulls in
-    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
-    for module in ("qbarrier.cli", "qbarrier"):
-        probe = (f"import {module}, sys; "
-                 "print(sorted(m for m in sys.modules "
-                 "if m in ('scipy', 'concurrent.futures') "
-                 "or m.startswith('scipy.')))")
-        # probe the same copy of the package this suite imported
-        out = subprocess.run([sys.executable, "-c", probe], check=True,
-                             env=env, capture_output=True, text=True).stdout
-        assert out.strip() == "[]", module
+    assert fresh_runs["heavy"]["import qbarrier"] == []
+    assert fresh_runs["heavy"]["import qbarrier.cli"] == []
+
+
+def test_cli_figure5_loads_no_scipy(fresh_runs):
+    # figure5 is the damped C_D curve: the height sweep with its FFT and
+    # the sine integral, both numpy-only, and the Filon sum on one thread
+    assert fresh_runs["codes"]["figure5"] == 0
+    assert fresh_runs["heavy"]["figure5"] == []
+
+
+def test_cli_runs_without_the_reference_module(fresh_runs):
+    # the cross-check routes live in qbarrier.reference, which only the
+    # tests import; the fresh interpreter runs every subcommand (figure3's
+    # damped cells run as transmission's) and the three engine calls, and
+    # neither the reference module nor scipy or a thread pool loads
+    codes = fresh_runs["codes"]
+    assert codes == dict.fromkeys(
+        ["figure3", "figure4", "figure5", "transmission", "traversal",
+         "cumulative", "resonances"], 0)
+    assert all(fresh_runs["heavy"][command] == [] for command in codes)
+    assert fresh_runs["reference"] is False
+    assert fresh_runs["public_from_reference"] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -483,8 +508,9 @@ def test_cli_width_whose_heights_overflow_fails_with_a_reason(
       "--omega-star", "10"]),
     ("cumulative_g1e-3.csv",
      ["cumulative", "--tau-range", "0:5:11", "--gamma-star", "1e-3"]),
+    ("figure3.csv", ["figure3"]),
     ("figure5.csv", ["figure5"])],
-    ids=["transmission", "weak-damping", "cumulative", "figure5"])
+    ids=["transmission", "weak-damping", "cumulative", "figure3", "figure5"])
 def test_cli_damped_output_matches_its_golden(capsys, golden, argv):
     # w_D cells rest on the spectral panel layout and C_D cells on the
     # height sweep and the angle-addition Filon sum; each golden is
@@ -526,38 +552,3 @@ def test_cli_resonances_keep_the_columns_that_have_values(capsys):
     assert all(math.isfinite(row[j]) for row in cells for j in (0, 1, 3, 4))
     assert ("\nqbarrier: mean_tau_star: DomainError: closed mean is "
             "indeterminate") in captured.err
-
-
-def test_cli_figure5_loads_no_scipy():
-    # figure5 is the damped C_D curve: the height sweep with its FFT and
-    # the sine integral, both numpy-only, and the Filon sum on one thread.
-    # A fresh interpreter on the same package copy runs it and lists the
-    # scipy and thread-pool modules it loaded
-    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
-    probe = ("import os, sys; from qbarrier.cli import main; "
-             "code = main(['figure5', '--no-timestamp', '--out', os.devnull]); "
-             "print(code, sorted(m for m in sys.modules "
-             "if m in ('scipy', 'concurrent.futures') "
-             "or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "0 []"
-
-
-def test_cli_runs_without_the_reference_module():
-    # the cross-check routes live in qbarrier.reference, which only the
-    # tests import; a fresh interpreter on the same package copy runs
-    # three subcommands and shows the module never loads
-    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
-    probe = (
-        "import os, sys, qbarrier, qbarrier.cli; "
-        "argvs = [['resonances'], ['figure4'], ['transmission', "
-        "'--epsilon-range', '1.2:1.4:3', '--gamma-star', '5e-3']]; "
-        "codes = [qbarrier.cli.main(a + ['--out', os.devnull]) "
-        "for a in argvs]; "
-        "print(codes, 'qbarrier.reference' in sys.modules, "
-        "[n for n in qbarrier.__all__ if getattr(getattr(qbarrier, n), "
-        "'__module__', None) == 'qbarrier.reference'])")
-    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[0, 0, 0] False []"

@@ -4,15 +4,10 @@ weak-damping limit."""
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qbarrier
 from qbarrier import damped, quadrature
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
                               transmission_prob)
@@ -36,7 +31,7 @@ def test_ladder_moment_matching():
     # the model reproduces the matched derivatives exactly
     for p in range(4):
         model = float(np.sum(lad.weights * (-lad.rates) ** p).real)
-        assert model == pytest.approx(lad.taylor[p], abs=1e-13)
+        assert model == pytest.approx(STD.taylor_sqrt_f(4)[p], abs=1e-13)
     assert float(np.sum(lad.weights)) == pytest.approx(1.0, abs=1e-13)
     assert lad.mismatch > 0.0
 
@@ -47,8 +42,7 @@ def test_ladder_requires_damping():
 
 
 def test_residual_spectrum_decays_like_fifth_power():
-    lad = subtraction_ladder(STD)
-    scaled = [abs(complex(residual_spectrum(STD, lad, om))) * om ** 5
+    scaled = [abs(complex(residual_spectrum(STD, om))) * om ** 5
               for om in (8.0, 16.0, 32.0, 64.0)]
     # the envelope |g_res| * om^5 saturates instead of growing
     assert max(scaled) < 0.25
@@ -138,14 +132,12 @@ def test_residual_table_rows_are_their_own_15_node_calls():
     kernel = DampingKernel(1e-5, 10.0)
     for e in (1.3, 2.0):
         amplitude_w_D(e, 5.0, kernel)
-    ladder = subtraction_ladder(kernel)
-    table = damped._RESIDUAL_TABLES[kernel]
-    rows = {k: v for k, v in table.items() if k != "ladder"}
+    rows = damped._RESIDUAL_TABLES[kernel][1]
     assert len(rows) > 40
     for key, row in rows.items():
         nodes = np.frombuffer(key)
         assert nodes.shape == (15,)
-        assert np.array_equal(row, residual_spectrum(kernel, ladder, nodes))
+        assert np.array_equal(row, residual_spectrum(kernel, nodes))
 
 
 def test_used_kernel_equals_hashes_and_prints_like_a_new_one():
@@ -192,18 +184,10 @@ def test_weak_damping_matches_factorized_route():
     assert abs(spectral - factorized) <= 1e-5 * abs(spectral)
 
 
-def test_w_D_loads_no_scipy():
-    # the spectrum sums its own series; a fresh interpreter on the same
-    # package copy shows which modules one damped amplitude pulls in
-    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
-    probe = ("import sys; from qbarrier.damped import amplitude_w_D; "
-             "from qbarrier.kernel import DampingKernel; "
-             "amplitude_w_D(1.3, 5.0, DampingKernel(5e-3, 100.0)); "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+def test_w_D_loads_no_scipy(fresh_runs):
+    # the spectrum sums its own series; the session's fresh interpreter
+    # shows which modules one damped amplitude pulls in
+    assert fresh_runs["heavy"]["amplitude_w_D"] == []
 
 
 def test_next_fast_len_matches_scipy():
@@ -263,10 +247,9 @@ def test_residual_spectrum_mirrors_bit_for_bit(gamma, cutoff):
     # and takes omega < 0 as its conjugate; both halves of that must hold
     # to the bit (signs of zeros included) on the sweep's symmetric grids
     kernel = DampingKernel(gamma, cutoff)
-    ladder = subtraction_ladder(kernel)
     for step, n in ((0.0125, 3200), (0.1, 2000), (0.002527, 800)):
-        full = residual_spectrum(kernel, ladder, step * np.arange(-n, n + 1))
-        half = residual_spectrum(kernel, ladder, step * np.arange(n + 1))
+        full = residual_spectrum(kernel, step * np.arange(-n, n + 1))
+        half = residual_spectrum(kernel, step * np.arange(n + 1))
         assert half.tobytes() == full[n:].tobytes()
         assert np.conj(full[:n:-1]).tobytes() == full[:n].tobytes()
         assert np.array_equal(np.conj(full[::-1]), full)
@@ -303,7 +286,7 @@ def test_height_sweep_fft_matches_direct_correlation():
     want = sum(a * shifted(om + 1j * s) for a, s in zip(lad.weights, lad.rates))
     support = (max(lad.mismatch, 1e-4) / (4.0 * math.pi * 1e-10)) ** 0.25
     n_half = math.ceil(min(max(support, 40.0), 200.0) / 0.05)
-    g_res = residual_spectrum(STD, lad, 0.05 * np.arange(-n_half, n_half + 1))
+    g_res = residual_spectrum(STD, 0.05 * np.arange(-n_half, n_half + 1))
     w_ext = shifted(om[0] + 0.05 * np.arange(-n_half, om.size + n_half))
     want = want + np.convolve(w_ext, g_res[::-1], mode="valid") * (
         0.05 / (2.0 * math.pi))

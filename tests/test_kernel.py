@@ -3,10 +3,6 @@ exponential expansion of sqrt(f), and its one-sided spectrum against a
 direct-quadrature oracle."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qbarrier
 from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
 from qbarrier.kernel import DampingKernel, _central_ratio
 from qbarrier.reference import (MASS, peak_time, propagator_coefficients,
@@ -101,17 +96,10 @@ def test_peak_time_brackets_maximum():
     assert peak_time(DampingKernel(0.0, 100.0)) == 0.0
 
 
-def test_peak_time_loads_no_scipy_optimize():
-    # the peak is bisected in plain Python; a fresh interpreter on the same
-    # package copy shows what one call pulls in
-    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
-    probe = ("import sys; from qbarrier.kernel import DampingKernel; "
-             "from qbarrier.reference import peak_time; "
-             "peak_time(DampingKernel(5e-3, 100.0)); "
-             "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+def test_peak_time_loads_no_scipy_optimize(fresh_runs):
+    # the peak is bisected in plain Python; the session's fresh interpreter
+    # calls it last and shows it pulled in no optimizer
+    assert fresh_runs["peak_time_optimize"] is False
 
 
 def test_f_strictly_decreasing_past_peak():

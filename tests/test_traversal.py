@@ -3,17 +3,15 @@ and the cumulative amplitude."""
 
 import math
 import os
-import subprocess
+import re
 import sys
 import warnings
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import sici
 
-import qbarrier
 from qbarrier import traversal
 from qbarrier.damped import amplitude_w_D, amplitude_w_D_height_sweep
 from qbarrier.errors import DomainError, WindowError
@@ -170,6 +168,38 @@ def test_mean_derivative_route_holds_on_wide_barriers(width):
         closed = mean_traversal_closed(float(e), width)
         deriv = mean_traversal_derivative(float(e), width)
         assert abs(deriv - closed) <= 1e-8 * abs(closed), e
+
+
+@pytest.mark.parametrize("width", [1e-160, 1e-300])
+def test_mean_derivative_route_holds_on_tiny_widths(width):
+    # (pi / width)^2 overflowed below a width of about 2e-154 and figure4
+    # stopped with a traceback; the phase scale there is far above the
+    # coarse step, which the route keeps, and it meets the closed mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (0.5, 1.3, 2.5):
+            closed = mean_traversal_closed(e, width)
+            deriv = mean_traversal_derivative(e, width)
+            assert abs(deriv - closed) <= 1e-8 * abs(closed), e
+
+
+@pytest.mark.parametrize("epsilon, width, reason", [
+    *[(1.0 + (math.pi / d) ** 2, d, "height step below 2**-51")
+      for d in (7e4, 1e5, 1e6, 1e7, 1e8)],
+    (1.0, 1e200, "height step below 2**-51"),
+    (0.5, 1e4, "bare amplitude underflows to 0")],
+    ids=["step-7e4", "step-1e5", "step-1e6", "step-1e7", "step-1e8",
+         "scale-underflows", "bare-underflows"])
+def test_mean_derivative_route_refuses_what_it_cannot_resolve(
+        epsilon, width, reason):
+    # below 2**-51, 1 +- h/2 rounds: at 7e4 a step of 2**-52 gave a third
+    # of the expected d^2 / (2 pi^2), from 1e5 on exactly 0; at 1e200
+    # the step's scale underflows to 0 (a step of 0.5 gave 2.08 - 0.88i);
+    # at 0.5, 1e4 the bare amplitude underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(reason)):
+            mean_traversal_derivative(epsilon, width)
 
 
 @pytest.mark.parametrize("width", [500.0, 1000.0])
@@ -439,20 +469,9 @@ def test_half_pi_minus_si_far_tail_is_finite():
     assert np.all(np.abs(got) <= 2.0 / xs)
 
 
-def test_cumulative_and_distribution_load_no_scipy():
+def test_cumulative_and_distribution_load_no_scipy(fresh_runs):
     # the damped C_D curve on the figure5 grid (height sweep, FFT, sine
-    # integral) and both traversal distributions run on numpy alone; a
-    # fresh interpreter on the same package copy lists what they loaded
-    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
-    probe = ("import sys, numpy as np; "
-             "from qbarrier.kernel import DampingKernel; "
-             "from qbarrier.sweep import run_distribution; "
-             "from qbarrier.traversal import cumulative_amplitude; "
-             "cumulative_amplitude(1.3, 5.0, DampingKernel(5e-3, 100.0), "
-             "np.linspace(0.0, 30.0, 301)); "
-             "run_distribution(5.0, 1.3, 0.0, 8.0, 50, [5e-3], 100.0); "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # integral) and both traversal distributions run on numpy alone; the
+    # session's fresh interpreter lists what they loaded
+    assert fresh_runs["heavy"]["cumulative_amplitude"] == []
+    assert fresh_runs["heavy"]["run_distribution"] == []

@@ -1,9 +1,9 @@
 """Quantum transmission through a rectangular barrier with Ohmic damping.
 
-Reduced units throughout: hbar = 2m = 1, lengths in units of the
-free-space wavelength at the barrier height, energies in units of the
-barrier height, times in units of tau_star = width / 2.  See
-:mod:`qbarrier.units` for the conversion rules.
+Reduced units throughout: hbar = 2m = 1, lengths in units of
+lambda0 = hbar / sqrt(2 m V0), the barrier-top wavelength over 2 pi,
+energies in units of the barrier height V0, times in units of
+tau_star = width / 2.  See :mod:`qbarrier.units` for the conversion rules.
 """
 
 __version__ = "0.1.0"

@@ -65,8 +65,9 @@ def _add_common(sub: argparse.ArgumentParser, *, gammas=(0.0, 5e-3)):
     """Options every subcommand takes, and the damping options with their
     default rates unless ``gammas`` is None."""
     sub.add_argument("--d-over-lambda0", type=_positive, default=5.0,
-                     metavar="D", help="barrier width in wavelengths "
-                     "(default %(default)s)")
+                     metavar="D", help="barrier width in lambda0 = "
+                     "hbar/sqrt(2 m V0), the barrier-top wavelength over "
+                     "2 pi (default %(default)s)")
     if gammas is not None:
         sub.set_defaults(gammas=gammas)
         sub.add_argument("--gamma-star", type=float, action="append",

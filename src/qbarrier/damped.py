@@ -32,6 +32,7 @@ A table per kernel, held here and dropped with the kernel, keeps the
 ladder that ``amplitude_w_D`` and the height sweep both read, and each
 panel's residual row, keyed by its node bytes and computed once by its
 own 15-node call: no result changes by a bit, and equal kernels share.
+A call clears rows past ``_PANEL_BUDGET``: reuse is from the energy before.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .barrier import (amplitude_w, amplitude_w_complex_height,
                       check_height_shift)
 from .errors import DegenerateKernelError, DomainError, NonConvergenceError
 from .kernel import DampingKernel
-from .quadrature import integrate_adaptive
+from .quadrature import _PANEL_BUDGET, integrate_adaptive
 
 _LADDER_ORDER = 4
 # per kernel: (its ladder, the residual rows of amplitude_w_D by node bytes)
@@ -148,11 +149,13 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
         return DampedAmplitude(bare, 0.0, 0.0, 0, bare)
 
     ladder, rows = _table(kernel)
+    if len(rows) > _PANEL_BUDGET:
+        rows.clear()
 
     # grow the window until the omega^-5 envelope certifies the tail
     cutoff = max(32.0, 8.0 * float(ladder.rates[-1]))
     for _ in range(60):
-        edges = cutoff * np.array([-1.0, -0.9, -0.8, 0.8, 0.9, 1.0])
+        edges = cutoff * np.array([0.8, 0.9, 1.0])  # |g| is even in omega
         g_edges = residual_spectrum(kernel, edges)
         empirical = float(np.max(np.abs(g_edges) * np.abs(edges) ** 5))
         scale = max(ladder.mismatch, 2.0 * empirical)
@@ -226,26 +229,24 @@ def amplitude_w_D_height_sweep(
     kernel: DampingKernel,
     omega_grid: np.ndarray,
 ) -> np.ndarray:
-    """Suppressed amplitude with the barrier height shifted by
-    ``-hbar * omega`` for every ``omega`` on a uniform grid.
+    """Suppressed amplitude at heights shifted by ``-hbar * omega`` for
+    ``omega_grid == h * np.arange(-n, n + 1)``, h > 0, n > 0, or DomainError.
 
     This is the vectorized workhorse behind cumulative traversal curves:
     the ladder part is a handful of closed evaluations per grid point and
-    the residual part becomes one discrete convolution of bare-amplitude
-    samples against the residual spectrum (both on the same step, done
-    with an FFT).  The residual spectrum is kept out to the half-width
-    where its ``mismatch / omega^5`` envelope leaves a tail below 1e-10,
-    clamped to [40, 200].  In the clean limit the sweep degenerates to
-    bare samples.  It stays beside ``amplitude_w_D`` because a C_D curve
-    needs 65,537 heights: about 4 min of certified points, 0.3 s here.
+    the residual part one FFT convolution of bare samples on
+    ``h * np.arange(-n - m, n + m + 1)``, whose middle is the caller's
+    grid bit for bit, against the residual spectrum out to the half-width
+    ``m h`` where its ``mismatch / omega^5`` envelope leaves a tail below
+    1e-10, clamped to [40, 200].  In the clean limit the sweep degenerates
+    to bare samples.  It stays beside ``amplitude_w_D`` because a C_D
+    curve needs 65,537 heights: about 4 min of certified points, 0.3 s.
     """
     om = np.asarray(omega_grid, dtype=float)
-    if om.ndim != 1 or om.size < 2:
-        raise DomainError("omega_grid must be a 1-d grid")
-    steps = np.diff(om)
-    step = steps[0]
-    if step <= 0.0 or not np.allclose(steps, step, rtol=1e-9, atol=0.0):
-        raise DomainError("omega_grid must be uniform and ascending")
+    n = (om.size - 1) // 2
+    step = om.flat[n + 1] if n > 0 else 0.0
+    if not (step > 0.0 and np.array_equal(om, step * np.arange(-n, n + 1))):
+        raise DomainError("omega_grid must be h * arange(-n, n+1), h, n > 0")
 
     def shifted(x):
         check_height_shift(width, np.max(np.abs(x)))
@@ -263,13 +264,12 @@ def amplitude_w_D_height_sweep(
     resid_halfwidth = (max(ladder.mismatch, 1e-4)
                        / (4.0 * math.pi * 1e-10)) ** 0.25
     resid_halfwidth = float(min(max(resid_halfwidth, 40.0), 200.0))
-    n_half = int(math.ceil(resid_halfwidth / step))
+    m = int(math.ceil(resid_halfwidth / step))
     # conjugate-symmetric bit for bit: evaluate omega >= 0, mirror the rest
-    half = residual_spectrum(kernel, step * np.arange(n_half + 1))
+    half = residual_spectrum(kernel, step * np.arange(m + 1))
     g_res = np.concatenate([np.conj(half[:0:-1]), half])
-    x_ext = om[0] + step * np.arange(-n_half, om.size + n_half)
-    w_ext = shifted(x_ext)
-    # correlation against the residual spectrum, out[i] = sum_m w(om_i + u_m) g(u_m),
+    w_ext = shifted(step * np.arange(-n - m, n + m + 1))
+    # correlation against the residual spectrum, out[i] = sum_j w(om_i + u_j) g(u_j),
     # as the "valid" part of a full linear convolution done by FFT
     n_fft = _next_fast_len(w_ext.size + g_res.size - 1)
     full = np.fft.ifft(np.fft.fft(w_ext, n_fft) * np.fft.fft(g_res[::-1], n_fft))

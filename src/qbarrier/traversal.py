@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,10 +202,11 @@ def mean_traversal_closed(epsilon: float, width: float) -> complex:
     limit exists; use the derivative route there).  The real part crosses
     the classical crossing time at the resonances, where the mean is
     exactly real.  Deep below the barrier, where sin^2(kappa d) would
-    overflow, numerator and denominator are divided by it.
+    overflow, numerator and denominator are divided by it.  Raises
+    DomainError below the smallest normal width, where ``/ width`` overflows.
     """
-    if not width > 0.0:
-        raise DomainError(f"width must be positive, got {width!r}")
+    if not width >= sys.float_info.min:
+        raise DomainError(f"width must be positive and normal, got {width!r}")
     if abs(epsilon - 1.0) < 1e-8:
         raise DomainError("closed mean is indeterminate at epsilon = 1")
     k, kappa = wave_numbers(float(epsilon))
@@ -244,7 +246,9 @@ def _derivative_step(epsilon: float, width: float) -> float:
 def mean_traversal_derivative(epsilon: float, width: float) -> complex:
     """Mean traversal time from the height derivative of ``log w``,
     centered differences with one Richardson pass.  The workhorse
-    cross-check for the closed form."""
+    cross-check for the closed form, refusing subnormal widths as it does."""
+    if not width >= sys.float_info.min:
+        raise DomainError(f"width must be positive and normal, got {width!r}")
     bare = amplitude_w(float(epsilon), width)
     if bare == 0.0:
         raise DomainError(f"bare amplitude underflows to 0 at epsilon "

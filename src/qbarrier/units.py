@@ -29,22 +29,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 
 
-class WaveNumbers(NamedTuple):
-    """Wave numbers in 1/lambda0 units: k outside the barrier, kappa inside."""
-
-    k: float
-    kappa: complex
-
-
-def wave_numbers(epsilon: float) -> WaveNumbers:
-    """Incident and internal wave numbers for reduced energy ``epsilon``.
+def wave_numbers(epsilon: float) -> tuple[float, complex]:
+    """Wave numbers ``(k, kappa)`` in 1/lambda0 units for reduced energy
+    ``epsilon``: ``k`` outside the barrier, ``kappa`` inside it.
 
     ``kappa`` is taken on the branch with nonnegative imaginary part, so it
     is real above the barrier and ``+i |kappa|`` below it.
@@ -53,7 +46,7 @@ def wave_numbers(epsilon: float) -> WaveNumbers:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     k = math.sqrt(epsilon)
     # the +0.0 imaginary part puts cmath.sqrt on the upper branch
-    return WaveNumbers(k, cmath.sqrt(complex(epsilon - 1.0, 0.0)))
+    return k, cmath.sqrt(complex(epsilon - 1.0, 0.0))
 
 
 def classical_crossing_time(epsilon: float) -> float:

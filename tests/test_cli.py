@@ -3,6 +3,7 @@ schemas, exit codes, byte-for-byte determinism, and a lean import path."""
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,24 @@ def test_cli_figure4_fails_the_cells_its_derivative_route_cannot_resolve(
         "qbarrier: 2 cell(s) failed and are written as nan",
         "qbarrier: g0: DomainError: the derivative route needs a height step "
         "below 2**-51 at epsilon 1.0255859375, width 1000000000000.0"]
+
+
+@pytest.mark.parametrize("width", ["1e-308", "1e-310", "1e-320"])
+def test_cli_figure4_refuses_subnormal_widths(capsys, width):
+    # at 1e-308 every cell printed nan with exit 0 and no message; from
+    # 5e-309 down the closed mean overflowed with numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["figure4", "--d-over-lambda0", width,
+                     "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    rows = [l.split(",") for l in captured.out.splitlines()
+            if not l.startswith(("#", "epsilon"))]
+    assert len(rows) == 256 and all(row[1] == "nan" for row in rows)
+    assert captured.err.splitlines() == [
+        "qbarrier: 256 cell(s) failed and are written as nan",
+        "qbarrier: g0: DomainError: width must be positive and normal, "
+        f"got {float(width)!r}"]
 
 
 def test_cli_cumulative_runs(capsys):

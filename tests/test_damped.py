@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qbarrier import damped, quadrature
+from qbarrier import damped, quadrature, sweep
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
                               transmission_prob)
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
@@ -158,6 +158,30 @@ def test_used_kernel_equals_hashes_and_prints_like_a_new_one():
     assert fresh not in damped._RESIDUAL_TABLES
 
 
+def test_residual_rows_start_afresh_past_the_panel_budget(monkeypatch):
+    # the rows' reuse comes from the energy before, so a call that finds
+    # more than _PANEL_BUDGET of them clears them first; this sweep's table
+    # would grow to 370 rows unbounded, and its bits must not depend on it
+    eps = np.linspace(0.5, 3.0, 10)
+    plain = run_transmission(5.0, eps, [5e-3], 1000.0)
+    kernel = DampingKernel(5e-3, 1000.0)
+    rows = damped._table(kernel)[1]  # the sweep's equal kernel shares it
+    counts = []
+
+    def counted(*args, **kwargs):
+        result = amplitude_w_D(*args, **kwargs)
+        counts.append(len(rows))
+        return result
+
+    monkeypatch.setattr(damped, "_PANEL_BUDGET", 100)
+    monkeypatch.setattr(sweep, "amplitude_w_D", counted)
+    bounded = run_transmission(5.0, eps, [5e-3], 1000.0)
+    assert len(counts) == 10 and max(counts) <= 200
+    assert counts != sorted(counts)  # cleared at least once
+    assert np.array_equal(bounded.table, plain.table)
+    assert bounded.errors == plain.errors
+
+
 def test_weak_damping_continuity():
     # the deviation from the bare amplitude must scale linearly in gamma
     # all the way down, with no numerical floor
@@ -253,10 +277,18 @@ def test_residual_spectrum_mirrors_bit_for_bit(gamma, cutoff):
         assert half.tobytes() == full[n:].tobytes()
         assert np.conj(full[:n:-1]).tobytes() == full[:n].tobytes()
         assert np.array_equal(np.conj(full[::-1]), full)
+    # amplitude_w_D's window probe samples only the positive edges of its
+    # first window, max(32, 8 s_3): the negative ones mirror them, and the
+    # three-node call gives the bits of the six-node call it replaced
+    window = max(32.0, 8.0 * float(subtraction_ladder(kernel).rates[-1]))
+    edges = window * np.array([0.8, 0.9, 1.0])
+    both = residual_spectrum(kernel, np.concatenate([-edges[::-1], edges]))
+    assert residual_spectrum(kernel, edges).tobytes() == both[3:].tobytes()
+    assert np.conj(both[2::-1]).tobytes() == both[3:].tobytes()
 
 
 def test_height_sweep_clean_limit():
-    om = np.linspace(-3.0, 3.0, 31)
+    om = 0.2 * np.arange(-15, 16)
     clean = DampingKernel(0.0, 100.0)
     got = amplitude_w_D_height_sweep(1.3, 5.0, clean, om)
     want = amplitude_w_complex_height(1.3, 5.0, 1.0 - (2.0 / 5.0) * om)
@@ -287,17 +319,39 @@ def test_height_sweep_fft_matches_direct_correlation():
     support = (max(lad.mismatch, 1e-4) / (4.0 * math.pi * 1e-10)) ** 0.25
     n_half = math.ceil(min(max(support, 40.0), 200.0) / 0.05)
     g_res = residual_spectrum(STD, 0.05 * np.arange(-n_half, n_half + 1))
-    w_ext = shifted(om[0] + 0.05 * np.arange(-n_half, om.size + n_half))
+    w_ext = shifted(0.05 * np.arange(-40 - n_half, 40 + n_half + 1))
     want = want + np.convolve(w_ext, g_res[::-1], mode="valid") * (
         0.05 / (2.0 * math.pi))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_height_sweep_grid_validation():
-    with pytest.raises(DomainError):
-        amplitude_w_D_height_sweep(1.3, 5.0, STD, np.array([0.0]))
-    with pytest.raises(DomainError):
-        amplitude_w_D_height_sweep(1.3, 5.0, STD,
-                                   np.array([0.0, 1.0, 1.5]))
-    with pytest.raises(DomainError):
-        amplitude_w_D_height_sweep(1.3, 5.0, STD, np.array([1.0, 0.0]))
+    # the one grid taken is h * arange(-n, n + 1), h > 0, n >= 1, exactly:
+    # uniform but off-centre, or equal only up to rounding, is refused
+    for bad in ([0.0], [0.0, 1.0, 1.5], [1.0, 0.0], [-0.1, 0.0, 0.1, 0.2],
+                [0.1, 0.0, -0.1], [[-0.1, 0.0, 0.1]],
+                0.5 + 0.1 * np.arange(-3, 4), np.linspace(-3.0, 3.0, 31)):
+        with pytest.raises(DomainError, match="must be h"):
+            amplitude_w_D_height_sweep(1.3, 5.0, STD, np.asarray(bad))
+
+
+def test_height_sweep_samples_on_the_callers_grid(monkeypatch):
+    # the residual correlation reads bare amplitudes on an extension of the
+    # caller's grid; its middle must be that grid bit for bit, where a step
+    # taken as om[1] - om[0] drifted by up to 7.5e-10 on the figure5 grid
+    heights = []
+
+    def recording(epsilon, width, height):
+        heights.append(np.asarray(height))
+        return amplitude_w_complex_height(epsilon, width, height)
+
+    monkeypatch.setattr(damped, "amplitude_w_complex_height", recording)
+    for om in (0.0125 * np.arange(-400, 401), 0.05 * np.arange(-40, 41)):
+        heights.clear()
+        amplitude_w_D_height_sweep(1.3, 5.0, STD, om)
+        want = (1.0 - (2.0 / 5.0) * om).tobytes()
+        real = [h for h in heights if not np.iscomplexobj(h)]
+        assert len(real) == 1
+        ext, size = real[0], om.size
+        assert any(ext[i:i + size].tobytes() == want
+                   for i in range(ext.size - size + 1))

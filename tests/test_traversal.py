@@ -2,7 +2,6 @@
 and the cumulative amplitude."""
 
 import math
-import os
 import re
 import sys
 import warnings
@@ -170,7 +169,7 @@ def test_mean_derivative_route_holds_on_wide_barriers(width):
         assert abs(deriv - closed) <= 1e-8 * abs(closed), e
 
 
-@pytest.mark.parametrize("width", [1e-160, 1e-300])
+@pytest.mark.parametrize("width", [1e-160, 1e-300, sys.float_info.min])
 def test_mean_derivative_route_holds_on_tiny_widths(width):
     # (pi / width)^2 overflowed below a width of about 2e-154 and figure4
     # stopped with a traceback; the phase scale there is far above the
@@ -181,6 +180,20 @@ def test_mean_derivative_route_holds_on_tiny_widths(width):
             closed = mean_traversal_closed(e, width)
             deriv = mean_traversal_derivative(e, width)
             assert abs(deriv - closed) <= 1e-8 * abs(closed), e
+
+
+@pytest.mark.parametrize("route", [mean_traversal_closed,
+                                   mean_traversal_derivative])
+@pytest.mark.parametrize("width", [1e-308, 5e-309, 1e-310, 1e-320, 5e-324])
+def test_mean_routes_refuse_subnormal_widths(route, width):
+    # below the smallest normal double the closed route's / width overflowed
+    # to inf with numpy warnings, and the derivative route returned nan + nanj
+    # with none; the smallest normal width itself still holds (above)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (0.5, 1.3, 2.5):
+            with pytest.raises(DomainError, match="positive and normal"):
+                route(e, width)
 
 
 @pytest.mark.parametrize("epsilon, width, reason", [
@@ -231,6 +244,15 @@ def test_cumulative_starts_at_zero_and_plateaus():
         assert mags[0] == 0.0
         assert mags[1] == pytest.approx(ref_mid, rel=1e-5)
         assert abs(mags[3] - 1.0) < 1e-2
+
+
+def test_cumulative_h0_lies_within_the_certified_amplitude():
+    # the height sweep samples on the caller's grid, so H0 is w_D at the
+    # grid's centre to within amplitude_w_D's own certificate (7.6e-12
+    # here); with its step taken as om[1] - om[0] it missed by 2.6e-11
+    ref = amplitude_w_D(1.3, 5.0, STD, tol=1e-11)
+    h0 = cumulative_amplitude(1.3, 5.0, STD, [1.0]).suppressed_amplitude
+    assert abs(h0 - ref.value) <= ref.error_estimate
 
 
 def test_cumulative_damped_rises_earlier():
@@ -392,14 +414,13 @@ def test_cumulative_meets_the_long_double_filon_sum(gamma):
     (5e-3, np.linspace(0.0, 30.0, 301)),
     (1e-3, np.linspace(0.0, 30.0, 2001))],
     ids=["figure5", "one-row-blocks"])
-def test_cumulative_does_not_depend_on_the_core_count(monkeypatch, gamma,
+def test_cumulative_does_not_depend_on_its_row_blocks(monkeypatch, gamma,
                                                       taus):
-    # the Filon sum runs on one thread: a single allowed core gives the same
-    # bits.  What could still move them is where the row blocks fall: the
-    # figure5 grid is one block, 2001 times at gamma 1e-3 fill 13, the last
-    # one partial; every 20th time alone in a call (one row, one block)
-    # agrees to 1e-15.  All calls share epsilon, width and kernel, so one
-    # height sweep serves them all
+    # where the Filon sum's row blocks fall could move the bits: the figure5
+    # grid is one block, 2001 times at gamma 1e-3 fill 13, the last one
+    # partial; every 20th time alone in a call (one row, one block) agrees
+    # to 1e-15.  All calls share epsilon, width and kernel, so one height
+    # sweep serves them all
     kernel = DampingKernel(gamma, 100.0)
     sweep = traversal.amplitude_w_D_height_sweep
     heights = []
@@ -411,9 +432,6 @@ def test_cumulative_does_not_depend_on_the_core_count(monkeypatch, gamma,
 
     monkeypatch.setattr(traversal, "amplitude_w_D_height_sweep", sweep_once)
     values = cumulative_amplitude(1.3, 5.0, kernel, taus).values
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert np.all(cumulative_amplitude(1.3, 5.0, kernel, taus).values
-                  == values)
     alone = [cumulative_amplitude(1.3, 5.0, kernel, taus[i:i + 1]).values[0]
              for i in range(0, taus.size, 20)]
     assert values[0] == alone[0] == 0.0

@@ -4,6 +4,7 @@ weak-damping limit."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +139,58 @@ def test_residual_table_rows_are_their_own_15_node_calls():
         nodes = np.frombuffer(key)
         assert nodes.shape == (15,)
         assert np.array_equal(row, residual_spectrum(kernel, nodes))
+
+
+def test_residual_rows_take_one_spectrum_call_per_rule(monkeypatch):
+    # the integrand computes its missing rows in one call per spectrum rule:
+    # 2 calls here, the 3-node window probe and one block of 34 rows, where
+    # a call per 15-node row made 35
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    kernel, shapes, integrand_calls = DampingKernel(5e-3, 100.0), [], []
+    spectrum, quad = DampingKernel.sqrt_f_spectrum, damped.integrate_adaptive
+
+    def counted_spectrum(self, omega):
+        shapes.append(np.shape(omega))
+        return spectrum(self, omega)
+
+    def counted_quad(fn, *args, **kwargs):
+        def counted_fn(x):
+            integrand_calls.append(x.shape)
+            return fn(x)
+        return quad(counted_fn, *args, **kwargs)
+
+    monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted_spectrum)
+    monkeypatch.setattr(damped, "integrate_adaptive", counted_quad)
+    amplitude_w_D(1.3, 5.0, kernel)
+    rows = damped._RESIDUAL_TABLES[kernel][1]
+    rules = {kernel.spectrum_rule(np.max(np.abs(np.frombuffer(key))))
+             for key in rows}
+    probes = shapes.count((3,))
+    assert probes >= 1 and len(integrand_calls) >= 1 and len(rows) > 15
+    assert len(shapes) <= len(integrand_calls) * len(rules) + probes
+
+
+def test_ladder_spectrum_adds_its_terms_as_the_loop_did():
+    # one broadcast builds the four terms; they must add from +0 in rate
+    # order, bit for bit (signs of zeros included) against the loop
+    ladder = subtraction_ladder(STD)
+
+    def loop(omega):
+        om = np.asarray(omega)
+        acc = np.zeros(np.shape(om), dtype=complex)
+        for aj, sj in zip(ladder.weights, ladder.rates):
+            acc = acc + aj / (sj + 1j * om)
+        return acc
+
+    for scalar in (0.0, -0.0, 1.7, -3.2, 1e-300, np.float64(41.0), 7):
+        got = ladder.spectrum(scalar)
+        assert complex(got) == complex(loop(scalar))
+        assert np.asarray(got).tobytes() == loop(scalar).tobytes()
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 801), [-0.0, 0.0]])
+    block = np.random.default_rng(3).normal(scale=30.0, size=(37, 15))
+    for om in (grid, block):
+        got = ladder.spectrum(om)
+        assert got.shape == om.shape and got.tobytes() == loop(om).tobytes()
 
 
 def test_used_kernel_equals_hashes_and_prints_like_a_new_one():

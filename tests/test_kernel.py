@@ -3,6 +3,7 @@ exponential expansion of sqrt(f), and its one-sided spectrum against a
 direct-quadrature oracle."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -211,6 +212,46 @@ def test_spectrum_rejects_nonfinite_omega():
     for bad in (math.inf, -math.inf, math.nan, [0.0, math.nan]):
         with pytest.raises(DomainError):
             STD.sqrt_f_spectrum(bad)
+
+
+@pytest.mark.parametrize("method", ["f", "sqrt_f", "sqrt_f_spectrum"])
+@pytest.mark.parametrize("value", [
+    np.array([1.0 - 0.5j]), np.array([1.0 + 2.0j, 3.0]), np.array(2.0 + 0j),
+    1.0 + 2.0j, np.complex128(1.0), [0.5, 1j]],
+    ids=["array", "mixed", "0-d", "scalar", "numpy-scalar", "list"])
+def test_kernel_refuses_complex_arguments(method, value):
+    # a float cast would drop the imaginary part (arrays, with only a
+    # ComplexWarning) or raise a bare TypeError (scalars)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be real, got complex"):
+            getattr(STD, method)(value)
+
+
+@pytest.mark.parametrize("gamma, cutoff", [
+    (1e-5, 10.0), (5e-3, 100.0), (0.5, 1000.0)])
+def test_spectrum_rows_of_one_rule_keep_their_own_bits(gamma, cutoff):
+    # amplitude_w_D batches its residual rows by spectrum rule; each row of
+    # a block, chunk seams included, must be the bits of its own call.  The
+    # rows reach the third rule at every kernel, and at 1e-5/10 the rule
+    # changes six times inside amplitude_w_D's first window, 32
+    kernel = DampingKernel(gamma, cutoff)
+    rng = np.random.default_rng(21)
+    centre = max(32.0, 512.0 * kernel.sigma) * 10.0 ** rng.uniform(-5, 0, 1200)
+    centre *= rng.choice([-1.0, 1.0], 1200)
+    half = np.abs(centre) * rng.uniform(0.01, 0.3, 1200)
+    rows = centre[:, None] + half[:, None] * np.linspace(-1.0, 1.0, 15)
+    groups = {}
+    for row in rows:
+        groups.setdefault(kernel.spectrum_rule(np.max(np.abs(row))),
+                          []).append(row)
+    assert set(groups) >= {0, 1, 2}
+    # some block spans several chunks even at 8 MB ones (1489 nodes)
+    assert max(map(len, groups.values())) * 15 > 1500
+    for group in groups.values():
+        block = kernel.sqrt_f_spectrum(np.array(group))
+        for row, got in zip(group, block):
+            assert got.tobytes() == kernel.sqrt_f_spectrum(row).tobytes()
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 5e-3])

@@ -52,6 +52,9 @@ from .kernel import DampingKernel
 from .quadrature import _PANEL_BUDGET, integrate_adaptive
 
 _LADDER_ORDER = 4
+# heights per bare-amplitude call of the height sweep, which bounds its
+# working set; no result depends on it
+_SWEEP_BLOCK = 1 << 13
 # per kernel: (its ladder, the residual rows of amplitude_w_D by node bytes)
 _RESIDUAL_TABLES = weakref.WeakKeyDictionary()
 
@@ -242,10 +245,15 @@ def amplitude_w_D_height_sweep(
     the residual part one FFT convolution of bare samples on
     ``h * np.arange(-n - m, n + m + 1)``, whose middle is the caller's
     grid bit for bit, against the residual spectrum out to the half-width
-    ``m h`` where its ``mismatch / omega^5`` envelope leaves a tail below
-    1e-10, clamped to [40, 200].  In the clean limit the sweep degenerates
-    to bare samples.  It stays beside ``amplitude_w_D`` because a C_D
-    curve needs 65,537 heights: about 4 min of certified points, 0.3 s.
+    ``W = m h`` where its ``mismatch / omega^5`` envelope leaves a tail below
+    1e-10, clamped to [40, 200].  Where the tail bound
+    ``max(mismatch, 1e-4) / (4 pi W^4)`` exceeds 1e-5 |H0|, H0 the value at
+    omega = 0, it raises NonConvergenceError with H0 and the bound.  Bare
+    amplitudes go ``_SWEEP_BLOCK`` heights a call, so only the output, the
+    FFT buffer and the residual transform span the grid, and no bit depends
+    on the block.  In the clean limit the sweep degenerates to bare
+    samples.  It stays beside ``amplitude_w_D`` because a C_D curve needs
+    65,537 heights: about 4 min of certified points, 0.3 s.
     """
     om = np.asarray(omega_grid, dtype=float)
     n = (om.size - 1) // 2
@@ -258,25 +266,47 @@ def amplitude_w_D_height_sweep(
         return amplitude_w_complex_height(
             epsilon, width, 1.0 - (2.0 / width) * x)
 
+    # the first block holds the largest |omega|, so it meets any overflow
+    blocks = [np.s_[i:i + _SWEEP_BLOCK]
+              for i in range(0, om.size, _SWEEP_BLOCK)]
+    out = np.zeros(om.shape, dtype=complex)
     if kernel.gamma == 0.0:
-        return shifted(om)
+        for b in blocks:
+            out[b] = shifted(om[b])
+        return out
 
     ladder = _table(kernel)[0]
-    out = np.zeros(om.shape, dtype=complex)
-    for aj, sj in zip(ladder.weights, ladder.rates):
-        out += aj * shifted(om + 1j * sj)
+    for b in blocks:
+        for aj, sj in zip(ladder.weights, ladder.rates):
+            out[b] += aj * shifted(om[b] + 1j * sj)
 
-    resid_halfwidth = (max(ladder.mismatch, 1e-4)
-                       / (4.0 * math.pi * 1e-10)) ** 0.25
+    envelope = max(ladder.mismatch, 1e-4)
+    resid_halfwidth = (envelope / (4.0 * math.pi * 1e-10)) ** 0.25
     resid_halfwidth = float(min(max(resid_halfwidth, 40.0), 200.0))
     m = int(math.ceil(resid_halfwidth / step))
     # conjugate-symmetric bit for bit: evaluate omega >= 0, mirror the rest
     half = residual_spectrum(kernel, step * np.arange(m + 1))
     g_res = np.concatenate([np.conj(half[:0:-1]), half])
-    w_ext = shifted(step * np.arange(-n - m, n + m + 1))
     # correlation against the residual spectrum, out[i] = sum_j w(om_i + u_j) g(u_j),
-    # as the "valid" part of a full linear convolution done by FFT
-    n_fft = _next_fast_len(w_ext.size + g_res.size - 1)
-    full = np.fft.ifft(np.fft.fft(w_ext, n_fft) * np.fft.fft(g_res[::-1], n_fft))
-    out += full[g_res.size - 1:w_ext.size] * (step / (2.0 * math.pi))
+    # as the "valid" part of a full linear convolution done by FFT; samples
+    # are assigned, not added, into the zero padding: 0.0 + -0.0 is +0.0
+    size = om.size + 2 * m
+    spec = np.zeros(_next_fast_len(size + g_res.size - 1), dtype=complex)
+    for i in range(0, size, _SWEEP_BLOCK):
+        j = np.arange(i, min(i + _SWEEP_BLOCK, size)) - (n + m)
+        spec[i:i + j.size] = shifted(step * j)
+    np.fft.fft(spec, out=spec)
+    spec *= np.fft.fft(g_res[::-1], spec.size)
+    np.fft.ifft(spec, out=spec)
+    valid = spec[g_res.size - 1:size]
+    valid *= step / (2.0 * math.pi)
+    out += valid
+
+    tail = envelope / (4.0 * math.pi * resid_halfwidth ** 4)
+    h0 = complex(out[n])
+    if tail > 1e-5 * abs(h0):
+        raise NonConvergenceError(
+            f"residual tail bound {tail:.3e} at half-width "
+            f"{resid_halfwidth:g} exceeds 1e-5 of |H0| = {abs(h0):.3e}",
+            best_estimate=h0, error_estimate=tail)
     return out

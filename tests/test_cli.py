@@ -291,6 +291,21 @@ def test_cli_reports_failed_cells_on_stderr(capsys):
         "per side is beyond reason\n")
 
 
+def test_cli_refuses_a_cumulative_curve_its_residual_clamp_leaves_wrong(
+        capsys):
+    # at gamma = 0.5 the height sweep's residual tail bound is 29 |H0|; the
+    # curve it printed and exited 0 on was 78% off at H0
+    code = main(["cumulative", "--gamma-star", "0.5", "--tau-range", "0:3:4",
+                 "--no-timestamp"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "# failures=4" in captured.out
+    assert captured.err == (
+        "qbarrier: 4 cell(s) failed and are written as nan\n"
+        "qbarrier: g0.5: NonConvergenceError: residual tail bound 9.788e-04 "
+        "at half-width 200 exceeds 1e-5 of |H0| = 3.392e-05\n")
+
+
 def test_cli_rejects_nonpositive_width_and_energy(capsys):
     for argv in (["figure4", "--d-over-lambda0", "0"],
                  ["cumulative", "--epsilon", "-2"]):

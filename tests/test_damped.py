@@ -390,7 +390,8 @@ def test_height_sweep_grid_validation():
 
 def test_height_sweep_samples_on_the_callers_grid(monkeypatch):
     # the residual correlation reads bare amplitudes on an extension of the
-    # caller's grid; its middle must be that grid bit for bit, where a step
+    # caller's grid, in calls of at most _SWEEP_BLOCK heights; joined in call
+    # order, the real heights must hold that grid bit for bit, where a step
     # taken as om[1] - om[0] drifted by up to 7.5e-10 on the figure5 grid
     heights = []
 
@@ -402,9 +403,29 @@ def test_height_sweep_samples_on_the_callers_grid(monkeypatch):
     for om in (0.0125 * np.arange(-400, 401), 0.05 * np.arange(-40, 41)):
         heights.clear()
         amplitude_w_D_height_sweep(1.3, 5.0, STD, om)
+        assert max(h.size for h in heights) <= damped._SWEEP_BLOCK
         want = (1.0 - (2.0 / 5.0) * om).tobytes()
-        real = [h for h in heights if not np.iscomplexobj(h)]
-        assert len(real) == 1
-        ext, size = real[0], om.size
-        assert any(ext[i:i + size].tobytes() == want
-                   for i in range(ext.size - size + 1))
+        ext = np.concatenate([h for h in heights if not np.iscomplexobj(h)])
+        assert any(ext[i:i + om.size].tobytes() == want
+                   for i in range(ext.size - om.size + 1))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 5e-3, 0.05])
+def test_height_sweep_bits_do_not_depend_on_the_block_length(monkeypatch,
+                                                             gamma):
+    # each height takes the same operations in any block, and the extension
+    # is assigned into the FFT's zero padding, so no bit moves.  Blocks of 1
+    # and 7 run on a grid of 101 heights whose extensions (101, 901, 2339
+    # and 4101 heights here) are no multiple of 7: on the figure5 grid they
+    # take 55 s and 9 s.  1 << 20 holds any extension here in one block
+    kernel = DampingKernel(gamma, 100.0)
+    default = damped._SWEEP_BLOCK
+    for om, blocks in ((0.1 * np.arange(-50, 51), (1, 7, default, 1 << 20)),
+                       (0.0125 * np.arange(-32768, 32769),
+                        (1000, default, 1 << 20))):
+        got = []
+        for block in blocks:
+            monkeypatch.setattr(damped, "_SWEEP_BLOCK", block)
+            got.append(amplitude_w_D_height_sweep(1.3, 5.0, kernel,
+                                                  om).tobytes())
+        assert got[1:] == got[:-1]

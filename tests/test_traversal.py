@@ -4,6 +4,7 @@ and the cumulative amplitude."""
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -12,8 +13,9 @@ import pytest
 from scipy.special import sici
 
 from qbarrier import traversal
-from qbarrier.damped import amplitude_w_D, amplitude_w_D_height_sweep
-from qbarrier.errors import DomainError, WindowError
+from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
+                             subtraction_ladder)
+from qbarrier.errors import DomainError, NonConvergenceError, WindowError
 from qbarrier.kernel import DampingKernel
 from qbarrier.traversal import (SpectralGrid, _half_pi_minus_si,
                                 cumulative_amplitude,
@@ -357,6 +359,45 @@ def test_cumulative_input_validation():
     # about 1.7e8 points per side here; refused before anything is built
     with pytest.raises(WindowError):
         cumulative_amplitude(1.3, 5.0, DampingKernel(1e-5, 10.0), [1.0])
+
+
+def test_cumulative_refuses_a_residual_tail_above_1e_5_of_h0():
+    # the height sweep clamps its residual half-width at 200 and bounds the
+    # tail it leaves by max(mismatch, 1e-4) / (4 pi 200^4): 9.3e-7 |H0| at
+    # gamma = 0.05, kept, and 29 |H0| at 0.5, refused, where H0 is 78% off
+    # w_D.  Either way the bound covers H0's miss (3.1e-9 and 1.5e-5)
+    def tail(kernel):
+        mismatch = subtraction_ladder(kernel).mismatch
+        return max(mismatch, 1e-4) / (4.0 * math.pi * 200.0 ** 4)
+
+    mild, strong = DampingKernel(0.05, 100.0), DampingKernel(0.5, 100.0)
+    h0 = cumulative_amplitude(1.3, 5.0, mild, [1.0]).suppressed_amplitude
+    assert abs(h0 - amplitude_w_D(1.3, 5.0, mild, tol=1e-10).value) <= tail(
+        mild)
+    with pytest.raises(NonConvergenceError, match="residual tail") as info:
+        cumulative_amplitude(1.3, 5.0, strong, [1.0])
+    assert info.value.error_estimate == tail(strong)
+    assert tail(strong) > 1e-5 * abs(info.value.best_estimate)
+    ref = amplitude_w_D(1.3, 5.0, strong, tol=1e-10).value
+    assert abs(info.value.best_estimate - ref) <= tail(strong)
+
+
+def test_cumulative_working_set_stays_within_eight_grid_arrays():
+    # the figure5-shaped call spans its 65,537-point grid with the sweep's
+    # output, FFT buffer and residual transform, the Filon sum's tables and
+    # bare-amplitude blocks of fixed length: about 6.3 complex grid arrays
+    # (6.6 MB) at its tracemalloc peak, where whole-grid evaluations of the
+    # ladder and the extension peaked at 13.5
+    taus = np.linspace(0.0, 30.0, 301)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cumulative_amplitude(1.3, 5.0, DampingKernel(5e-3, 100.0), taus)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 65537 * 16
 
 
 def _long_double_cumulative(epsilon, width, kernel, taus, step, w_half):

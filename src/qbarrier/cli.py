@@ -6,12 +6,12 @@ and ``cumulative`` with the paper's defaults); ``transmission``,
 ``traversal``, ``cumulative``, and ``resonances`` expose the same runners
 with free parameters.  Output is CSV or JSON to stdout or a file.
 
-Exit codes: 0 clean, 2 bad usage (including an option the subcommand
-does not take, a nonpositive width, energy or bath cutoff, a negative
-time, an infinite range end, or a count below 1), 3 numerical failure,
-a negative damping rate among them, or one whose kernel is not finite
-(partial output is still written with failed cells as nan, and stderr
-gets their count and, for each failed column, the first exception).
+Exit codes: 0 clean, 2 bad usage (including an option the subcommand does
+not take, a nonpositive width, energy or bath cutoff, a negative time, an
+infinite range end, a count below 1, or an unwritable ``--out`` path), 3
+numerical failure, a negative damping rate among them, or one whose kernel
+is not finite (partial output is still written with failed cells as nan, and
+stderr gets their count and, for each failed column, the first exception).
 """
 
 from __future__ import annotations
@@ -174,8 +174,13 @@ def main(argv=None) -> int:
     else:
         text = sweep.format_csv(result, timestamp=not args.no_timestamp)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qbarrier: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if result.failures:

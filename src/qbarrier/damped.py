@@ -28,13 +28,13 @@ envelope and an empirical sample at the window edge feed the reported
 error bound.  The clean limit gamma = 0 short-circuits to the bare
 amplitude exactly.
 
-A table per kernel, held here and dropped with the kernel, keeps the
-ladder that ``amplitude_w_D`` and the height sweep both read, and each
-panel's residual row, keyed by its node bytes.  A row is computed once,
-grouped by spectrum rule with the other rows its integrand call lacks
-(``figure3``: 1,280 spectrum calls, not 6,267), and keeps the bits of its
-own 15-node call: no result changes by a bit, and equal kernels share.
-A call clears rows past ``_PANEL_BUDGET``: reuse is from the energy before.
+A weak table per kernel keeps the ladder both damped routes read, each tol's
+window, and each panel's residual row by node bytes: made once, in one call
+per spectrum rule with the other rows missing, a row keeps the bits of its
+own 15-node call.  The residual spectrum is conjugate-symmetric bit for bit,
+so a row of negative nodes is kept as its mirror, served conjugated in
+reverse (``figure3``: 770 spectrum calls; 1,280 making mirrors and windows
+anew).  Equal kernels share; past ``_PANEL_BUDGET`` rows a call clears them.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ _LADDER_ORDER = 4
 # heights per bare-amplitude call of the height sweep, which bounds its
 # working set; no result depends on it
 _SWEEP_BLOCK = 1 << 13
-# per kernel: (its ladder, the residual rows of amplitude_w_D by node bytes)
+# per kernel: (ladder, residual rows by node bytes, (cutoff, tail) by tol)
 _RESIDUAL_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -90,10 +90,10 @@ def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
 
 
 def _table(kernel: DampingKernel) -> tuple:
-    """The kernel's (ladder, residual rows), made on first use."""
+    """The kernel's (ladder, residual rows, windows), made on first use."""
     entry = _RESIDUAL_TABLES.get(kernel)
     if entry is None:
-        entry = _RESIDUAL_TABLES[kernel] = (subtraction_ladder(kernel), {})
+        entry = _RESIDUAL_TABLES[kernel] = (subtraction_ladder(kernel), {}, {})
     return entry
 
 
@@ -151,29 +151,32 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     if kernel.gamma == 0.0:
         return DampedAmplitude(bare, 0.0, 0.0, 0, bare)
 
-    ladder, rows = _table(kernel)
+    ladder, rows, windows = _table(kernel)
     if len(rows) > _PANEL_BUDGET:
         rows.clear()
 
-    # grow the window until the omega^-5 envelope certifies the tail
-    cutoff = max(32.0, 8.0 * float(ladder.rates[-1]))
-    for _ in range(60):
-        edges = cutoff * np.array([0.8, 0.9, 1.0])  # |g| is even in omega
-        g_edges = residual_spectrum(kernel, edges)
-        empirical = float(np.max(np.abs(g_edges) * np.abs(edges) ** 5))
-        scale = max(ladder.mismatch, 2.0 * empirical)
-        tail = scale / (4.0 * math.pi * cutoff ** 4)
-        if tail <= 0.1 * tol:
-            break
-        cutoff *= 2.0
-    else:
-        raise NonConvergenceError(
-            f"residual tail bound stuck at {tail:.3e} for cutoff {cutoff:.3e}")
+    # grow the window until the omega^-5 envelope bounds the tail, per tol
+    if tol not in windows:
+        cutoff = max(32.0, 8.0 * float(ladder.rates[-1]))
+        for _ in range(60):
+            edges = cutoff * np.array([0.8, 0.9, 1.0])  # |g| is even in omega
+            g_edges = residual_spectrum(kernel, edges)
+            empirical = float(np.max(np.abs(g_edges) * np.abs(edges) ** 5))
+            scale = max(ladder.mismatch, 2.0 * empirical)
+            tail = scale / (4.0 * math.pi * cutoff ** 4)
+            if tail <= 0.1 * tol:
+                break
+            cutoff *= 2.0
+        else:
+            raise NonConvergenceError(f"residual tail bound stuck at "
+                                      f"{tail:.3e} for cutoff {cutoff:.3e}")
+        windows[tol] = cutoff, tail
+    cutoff, tail = windows[tol]
     # every height below, ladder poles included, lies within the window
     check_height_shift(width, cutoff)
-    closed = complex(np.sum(ladder.weights * np.asarray([
-        amplitude_w_complex_height(epsilon, width, 1.0 - 2j * sj / width)
-        for sj in ladder.rates])))
+    closed = complex(np.sum(ladder.weights * amplitude_w_complex_height(
+        epsilon, width, np.array([1.0 - 2j * sj / width
+                                  for sj in ladder.rates]))))
 
     # seed marks at +-gap 2^k: the ladder rates (k = 0 .. 3); six octaves
     # below s0, where the residual's cancellation structure lives as well;
@@ -186,17 +189,22 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     marks += _phase_breakpoints(epsilon, width, float(ladder.rates[-1]), cutoff)
 
     def integrand(om):
-        keys = [row.tobytes() for row in om]
-        missing = {}  # spectrum rule -> indices of rows not in the table
+        # a row of negative nodes is keyed, computed and kept as its mirror,
+        # and served as that row's conjugate in reverse
+        flip = om[:, -1] < 0.0
+        nodes = np.where(flip[:, None], -om[:, ::-1], om)
+        keys = [row.tobytes() for row in nodes]
+        missing = {}  # spectrum rule -> {key: row index} not in the table
         for i, peak in enumerate(np.max(np.abs(om), axis=1).tolist()):
             if keys[i] not in rows:
-                missing.setdefault(kernel.spectrum_rule(peak), []).append(i)
+                missing.setdefault(kernel.spectrum_rule(peak), {})[keys[i]] = i
         for new in missing.values():
-            rows.update(zip([keys[i] for i in new],
-                            residual_spectrum(kernel, om[new])))
+            rows.update(zip(new, residual_spectrum(
+                kernel, nodes[list(new.values())])))
+        g = np.array([rows[key] for key in keys])
         shifted = amplitude_w_complex_height(
             epsilon, width, 1.0 - (2.0 / width) * om)
-        return shifted * np.array([rows[key] for key in keys])
+        return shifted * np.where(flip[:, None], np.conj(g[:, ::-1]), g)
 
     try:
         quad = integrate_adaptive(

@@ -254,14 +254,11 @@ def mean_traversal_derivative(epsilon: float, width: float) -> complex:
         raise DomainError(f"bare amplitude underflows to 0 at epsilon "
                           f"{epsilon}, width {width}")
 
-    def central(h: float) -> complex:
-        up = amplitude_w_complex_height(epsilon, width, 1.0 + h)
-        dn = amplitude_w_complex_height(epsilon, width, 1.0 - h)
-        return (up - dn) / (2.0 * h * bare)
-
     step = _derivative_step(float(epsilon), width)
-    coarse = central(step)
-    fine = central(0.5 * step)
+    up, dn, up2, dn2 = map(complex, amplitude_w_complex_height(
+        epsilon, width, 1.0 + step * np.array([1.0, -1.0, 0.5, -0.5])))
+    coarse = (up - dn) / (2.0 * step * bare)
+    fine = (up2 - dn2) / (step * bare)  # 2 (step / 2) is step exactly
     return complex((2.0j / width) * (4.0 * fine - coarse) / 3.0)
 
 

@@ -3,12 +3,16 @@ schemas, exit codes, byte-for-byte determinism, and a lean import path."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbarrier
 from qbarrier import quadrature, sweep
 from qbarrier.barrier import transmission_prob
 from qbarrier.cli import main
@@ -304,6 +308,20 @@ def test_cli_refuses_a_cumulative_curve_its_residual_clamp_leaves_wrong(
         "qbarrier: 4 cell(s) failed and are written as nan\n"
         "qbarrier: g0.5: NonConvergenceError: residual tail bound 9.788e-04 "
         "at half-width 200 exceeds 1e-5 of |H0| = 3.392e-05\n")
+
+
+def test_cli_reports_an_unwritable_out_path_in_one_line(tmp_path):
+    # the write fails in a fresh process with one line and exit 2, not a
+    # FileNotFoundError traceback and exit 1
+    out = tmp_path / "missing" / "x.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(qbarrier.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qbarrier", "resonances",
+         "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        f"qbarrier: cannot write {out}: No such file or directory\n")
+    assert not out.parent.exists()
 
 
 def test_cli_rejects_nonpositive_width_and_energy(capsys):

@@ -126,25 +126,45 @@ def test_sweep_sharing_a_kernel_matches_fresh_kernels(order):
                 2.0 * abs(ref.value) * ref.error_estimate)
 
 
-def test_residual_table_rows_are_their_own_15_node_calls():
+def test_residual_table_rows_are_their_own_15_node_calls(monkeypatch):
     # the spectrum picks its rule from the peak |omega| of each call, so
     # a row computed in a larger batch could differ in the last bits; at
-    # weak damping the rule changes within the window
-    kernel = DampingKernel(1e-5, 10.0)
+    # weak damping the rule changes within the window.  A row of negative
+    # nodes is kept as its mirror and served as that row's conjugate in
+    # reverse: every integrand value must still be its bare amplitude times
+    # its row's own call, bit for bit
+    kernel, mirrored = DampingKernel(1e-5, 10.0), []
+    quad = damped.integrate_adaptive
+
+    def checked_quad(fn, *args, **kwargs):
+        def checked_fn(x):
+            y = fn(x)
+            own = np.array([residual_spectrum(kernel, row) for row in x])
+            bare = amplitude_w_complex_height(e, 5.0, 1.0 - (2.0 / 5.0) * x)
+            assert y.tobytes() == (bare * own).tobytes()
+            mirrored.extend(row for row in x if row[-1] < 0.0)
+            return y
+        return quad(checked_fn, *args, **kwargs)
+
+    monkeypatch.setattr(damped, "integrate_adaptive", checked_quad)
     for e in (1.3, 2.0):
         amplitude_w_D(e, 5.0, kernel)
     rows = damped._RESIDUAL_TABLES[kernel][1]
     assert len(rows) > 40
     for key, row in rows.items():
         nodes = np.frombuffer(key)
-        assert nodes.shape == (15,)
+        assert nodes.shape == (15,) and nodes[-1] >= 0.0
         assert np.array_equal(row, residual_spectrum(kernel, nodes))
+    # served from its mirror: the table holds no negative row of its own
+    assert mirrored
+    assert all((-row[::-1]).tobytes() in rows for row in mirrored)
 
 
 def test_residual_rows_take_one_spectrum_call_per_rule(monkeypatch):
     # the integrand computes its missing rows in one call per spectrum rule:
-    # 2 calls here, the 3-node window probe and one block of 34 rows, where
-    # a call per 15-node row made 35
+    # 2 calls here, the 3-node window probe and one block of 25 rows (34
+    # before a row of negative nodes was kept as its mirror), where a call
+    # per 15-node row made 35
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     kernel, shapes, integrand_calls = DampingKernel(5e-3, 100.0), [], []
     spectrum, quad = DampingKernel.sqrt_f_spectrum, damped.integrate_adaptive
@@ -168,6 +188,62 @@ def test_residual_rows_take_one_spectrum_call_per_rule(monkeypatch):
     probes = shapes.count((3,))
     assert probes >= 1 and len(integrand_calls) >= 1 and len(rows) > 15
     assert len(shapes) <= len(integrand_calls) * len(rules) + probes
+
+
+def test_w_D_searches_its_window_once_per_kernel_and_tol(monkeypatch):
+    # the window depends on the kernel and tol alone, so the kernel's table
+    # keeps it: these four energies make one 3-node window probe, where
+    # each made its own, and 858 spectrum nodes, where computing mirrored
+    # rows twice as well made 1,017
+    shapes = []
+    spectrum = DampingKernel.sqrt_f_spectrum
+
+    def counted(self, omega):
+        shapes.append(np.shape(omega))
+        return spectrum(self, omega)
+
+    monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted)
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    kernel = DampingKernel(5e-3, 100.0)
+    for e in (0.5, 1.3, 2.0, 4.0):
+        amplitude_w_D(e, 5.0, kernel)
+    assert shapes.count((3,)) == 1
+    assert sum(math.prod(shape) for shape in shapes) < 900
+    # a second tol searches its own window once, here in one probe
+    for e in (1.3, 2.0):
+        amplitude_w_D(e, 5.0, kernel, tol=1e-4)
+    assert shapes.count((3,)) == 2
+    # clearing the rows past the panel budget keeps the windows
+    monkeypatch.setattr(damped, "_PANEL_BUDGET", 0)
+    amplitude_w_D(1.7, 5.0, kernel)
+    assert shapes.count((3,)) == 2 and damped._table(kernel)[1]
+    # a fresh table searches again, and a failed search keeps nothing
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    amplitude_w_D(1.3, 5.0, kernel)
+    assert shapes.count((3,)) == 3
+    with pytest.raises(NonConvergenceError, match="tail bound stuck"):
+        amplitude_w_D(1.3, 5.0, kernel, tol=5e-324)
+    assert list(damped._table(kernel)[2]) == [1e-6]
+
+
+@pytest.mark.parametrize("cutoff", [10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("gamma", [1e-5, 1e-3, 5e-3, 0.05, 1.0])
+def test_residual_spectrum_negates_to_its_conjugate(gamma, cutoff):
+    # amplitude_w_D serves a row of negative nodes as the conjugate of its
+    # mirror's row in reverse, so over the box's corners negated
+    # frequencies must give the conjugate to the bit: on one grid call and
+    # on 15-node panel rows, whose mirrors the quadrature builds exactly
+    kernel = DampingKernel(gamma, cutoff)
+    om = np.geomspace(1e-2, 1e3, 301)
+    assert (residual_spectrum(kernel, -om).tobytes()
+            == np.conj(residual_spectrum(kernel, om)).tobytes())
+    half = np.geomspace(1e-3, 50.0, 24)
+    centre = half * np.random.default_rng(7).uniform(1.0, 20.0, half.size)
+    for c, h in zip(centre, half):
+        row, mirror = c + h * quadrature._NODES, -c + h * quadrature._NODES
+        assert mirror.tobytes() == (-row[::-1]).tobytes()
+        assert (residual_spectrum(kernel, mirror).tobytes()
+                == np.conj(residual_spectrum(kernel, row)[::-1]).tobytes())
 
 
 def test_ladder_spectrum_adds_its_terms_as_the_loop_did():

@@ -124,7 +124,8 @@ class DampingKernel:
 
     gamma = 0 is the clean limit: ``f`` is identically 1 and everything
     spectral is disabled (the transform of a constant is not a function).
-    Non-finite gamma or Omega, or sigma > 1e50, raises DegenerateKernelError.
+    Non-finite gamma or Omega, sigma > 1e50, or gamma > 0 with a decay gap
+    that rounds to 0, raises DegenerateKernelError.
     """
 
     gamma: float
@@ -133,10 +134,11 @@ class DampingKernel:
     def __post_init__(self):
         # amplitude_w_D's omega^5 envelope overflows from sigma ~ 1e60
         if not (0.0 <= self.gamma < math.inf and 0.0 < self.cutoff < math.inf
-                and self.sigma <= 1e50):
+                and self.sigma <= 1e50
+                and (self.decay_gap > 0.0 or self.gamma == 0.0)):
             raise DegenerateKernelError(
-                f"need finite gamma >= 0, cutoff > 0 and sigma <= 1e50, "
-                f"got {self!r}")
+                f"need finite gamma >= 0, cutoff > 0, sigma <= 1e50 and a "
+                f"positive decay gap if gamma > 0, got {self!r}")
 
     @property
     def sigma(self) -> float:

@@ -93,9 +93,11 @@ class SpectralGrid:
     @property
     def n_samples(self) -> int:
         need = 2.0 * _SPAN_FACTOR * self.window / self.freq_step
-        n = 1 << max(4, math.ceil(math.log2(need)))
+        # clamped, so that a need that overflows to inf is refused as well
+        n = 1 << max(4, math.ceil(math.log2(min(need, 2.0 ** 23))))
         if n > (1 << 22):
-            raise WindowError(f"grid of {n} samples is beyond reason")
+            raise WindowError(
+                f"grid of at least {need:.4g} samples is beyond reason")
         return n
 
     @property

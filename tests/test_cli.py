@@ -604,3 +604,24 @@ def test_cli_resonances_keep_the_columns_that_have_values(capsys):
     assert all(math.isfinite(row[j]) for row in cells for j in (0, 1, 3, 4))
     assert ("\nqbarrier: mean_tau_star: DomainError: closed mean is "
             "indeterminate") in captured.err
+
+
+def test_cli_refuses_kernels_too_weak_for_a_ladder_in_one_line(capsys):
+    # a decay gap of 5.9e-110 leaves the ladder's Vandermonde singular, and
+    # one of exactly 0 divided by zero; both runs died with a traceback
+    code = main(["transmission", "--epsilon-range", "0.5:3:2", "--gamma-star",
+                 "1e-110", "--omega-star", "10", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3 and "# failures=2" in captured.out
+    assert captured.err.splitlines() == [
+        "qbarrier: 2 cell(s) failed and are written as nan",
+        "qbarrier: g1e-110: DegenerateKernelError: no subtraction ladder "
+        "for decay gap 5.886e-110: Singular matrix"]
+    code = main(["cumulative", "--gamma-star", "1e-300", "--omega-star",
+                 "1e-300", "--tau-range", "0:1:3", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "qbarrier: need finite gamma >= 0, cutoff > 0, sigma <= 1e50 and a "
+        "positive decay gap if gamma > 0, got DampingKernel(gamma=1e-300, "
+        "cutoff=1e-300)"]

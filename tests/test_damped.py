@@ -396,9 +396,10 @@ def test_tunneling_enhancement_below_barrier():
 @pytest.mark.parametrize("gamma, cutoff", [
     (1e-5, 10.0), (1e-3, 100.0), (5e-3, 100.0), (0.05, 100.0), (0.5, 1000.0)])
 def test_residual_spectrum_mirrors_bit_for_bit(gamma, cutoff):
-    # the height sweep evaluates the residual spectrum for omega >= 0 only
-    # and takes omega < 0 as its conjugate; both halves of that must hold
-    # to the bit (signs of zeros included) on the sweep's symmetric grids
+    # the residual spectrum is conjugate-symmetric to the bit (signs of
+    # zeros included) on symmetric grids: the height sweep takes omega < 0
+    # as the conjugate of its omega >= 0 half, as amplitude_w_D serves a
+    # row of negative nodes from its mirror
     kernel = DampingKernel(gamma, cutoff)
     for step, n in ((0.0125, 3200), (0.1, 2000), (0.002527, 800)):
         full = residual_spectrum(kernel, step * np.arange(-n, n + 1))
@@ -505,3 +506,59 @@ def test_height_sweep_bits_do_not_depend_on_the_block_length(monkeypatch,
             got.append(amplitude_w_D_height_sweep(1.3, 5.0, kernel,
                                                   om).tobytes())
         assert got[1:] == got[:-1]
+
+
+@pytest.mark.parametrize("gamma, cutoff", [
+    (1e-3, 100.0), (5e-3, 100.0), (0.05, 100.0), (5e-3, 10.0), (0.02, 300.0),
+    (0.05, 1000.0), (1.0, 1000.0)])
+def test_height_sweep_interpolates_its_residual_half_to_the_spectrum_floor(
+        monkeypatch, gamma, cutoff):
+    # the sweep's residual half comes from 32 Chebyshev points per panel;
+    # on the half-grid the sweep asks for, the interpolant meets the direct
+    # call to the spectrum's own 1.5e-15 level (16 points miss by 2.5e-10
+    # at all but the last kernel, whose one panel is narrower than s0)
+    kernel, calls = DampingKernel(gamma, cutoff), []
+    half = damped._residual_half
+
+    def recording(kernel, step, m):
+        calls.append((step, m, half(kernel, step, m)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(damped, "_residual_half", recording)
+    step = min(0.0125, kernel.decay_gap / 25.0)  # cumulative_amplitude's
+    try:
+        amplitude_w_D_height_sweep(1.3, 5.0, kernel, step * np.arange(-40, 41))
+    except NonConvergenceError:
+        assert cutoff == 1000.0  # the residual tail refused after the half
+    [(step, m, got)] = calls
+    omega = step * np.arange(m + 1)
+    want = residual_spectrum(kernel, omega)
+    assert got[0] == want[0] and got[-1] == want[-1]  # nodes at 0 and W
+    assert np.all(np.abs(got - want)
+                  <= 2.5e-15 * np.abs(kernel.sqrt_f_spectrum(omega)))
+
+
+def test_height_sweep_makes_one_spectrum_call_of_few_nodes(monkeypatch):
+    # the figure5-shaped sweep's residual half spans 8,951 grid nodes, all
+    # of which one spectrum call evaluated; the interpolant needs 320
+    sizes = []
+    spectrum = DampingKernel.sqrt_f_spectrum
+
+    def counted(self, omega):
+        sizes.append(np.size(omega))
+        return spectrum(self, omega)
+
+    monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted)
+    amplitude_w_D_height_sweep(1.3, 5.0, DampingKernel(5e-3, 100.0),
+                               0.0125 * np.arange(-32768, 32769))
+    assert len(sizes) == 1 and sizes[0] <= 400
+
+
+def test_ladder_refuses_a_decay_gap_its_powers_underflow():
+    # at a decay gap of 5.9e-110 the ladder's Vandermonde is singular in
+    # floating point; the solve's LinAlgError became a typed failure
+    kernel = DampingKernel(1e-110, 10.0)
+    with pytest.raises(DegenerateKernelError, match="no subtraction ladder"):
+        subtraction_ladder(kernel)
+    with pytest.raises(DegenerateKernelError, match="no subtraction ladder"):
+        amplitude_w_D(1.3, 5.0, kernel)

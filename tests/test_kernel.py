@@ -343,3 +343,12 @@ def test_spectrum_far_tail_falls_like_inverse_omega():
     om = 4000.0
     val = STD.sqrt_f_spectrum(om)
     assert val == pytest.approx(1.0 / (1j * om), rel=2e-3)
+
+
+def test_construction_refuses_damping_with_a_zero_decay_gap():
+    # sigma rounds to gamma here, so (sigma - gamma) / 2 is exactly 0 and
+    # every rate the spectral routes derive from it vanishes
+    with pytest.raises(DegenerateKernelError, match="positive decay gap"):
+        DampingKernel(1e-300, 1e-300)
+    assert DampingKernel(0.0, 1e-300).decay_gap == 0.0
+    assert DampingKernel(1e-110, 10.0).decay_gap > 0.0

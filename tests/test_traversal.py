@@ -42,6 +42,16 @@ def test_spectral_grid_structure():
             SpectralGrid(**bad)
 
 
+def test_spectral_grid_refuses_a_sample_count_that_overflows():
+    # a finite window over a finite period can need inf samples, whose
+    # log2 math.ceil turned into a bare OverflowError
+    grid = SpectralGrid(1e200, 1e200)
+    with pytest.raises(WindowError, match="at least inf samples"):
+        grid.n_samples
+    with pytest.raises(WindowError, match="at least 1.528e"):
+        SpectralGrid(60.0, 1e9).n_samples
+
+
 def test_distribution_total_is_exactly_one():
     # discrete identity: on-grid omega = 0 plus the alternating sign
     # makes the normalization exact by construction

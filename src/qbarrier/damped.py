@@ -28,15 +28,13 @@ envelope and an empirical sample at the window edge feed the reported
 error bound.  The clean limit gamma = 0 short-circuits to the bare
 amplitude exactly.
 
-A weak table per kernel keeps the ladder both damped routes read, each tol's
-window, and each panel's residual row by node bytes: made once, in one call
-per spectrum rule with the other rows missing, a row keeps the bits of its
-own 15-node call.  The residual spectrum is conjugate-symmetric bit for bit,
-so a row of negative nodes is kept as its mirror, served conjugated in
-reverse (``figure3``: 770 spectrum calls; 1,280 making mirrors and windows
-anew).  Equal kernels share; past ``_PANEL_BUDGET`` rows a call clears them.
-The height sweep keeps nothing there: it interpolates its residual half from
-one spectrum call on Chebyshev panels (``figure5``: 320 nodes, not 8,951).
+A weak table per kernel, shared by equal kernels, keeps the ladder, each
+tol's window and the residual interpolant both damped routes read:
+``_CHEB_POINTS`` second-kind Chebyshev points on each panel [0, s0],
+[s0, 2 s0], [2 s0, 4 s0], ..., appended as calls reach further, each its
+own spectrum call, within 1.8e-15 |``sqrt_f_spectrum``| of a direct call
+(``figure3``: 20 calls on 582 nodes, where rows of 15 nodes took 770 on
+86,016).  w_D's error carries that share.
 """
 
 from __future__ import annotations
@@ -51,15 +49,15 @@ from .barrier import (amplitude_w, amplitude_w_complex_height,
                       check_height_shift)
 from .errors import DegenerateKernelError, DomainError, NonConvergenceError
 from .kernel import DampingKernel
-from .quadrature import _PANEL_BUDGET, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 _LADDER_ORDER = 4
 # heights per bare-amplitude call of the height sweep, which bounds its
 # working set; no result depends on it
 _SWEEP_BLOCK = 1 << 13
-# second-kind Chebyshev points per panel of the sweep's residual interpolant
+# second-kind Chebyshev points per panel of the residual interpolant
 _CHEB_POINTS = 32
-# per kernel: (ladder, residual rows by node bytes, (cutoff, tail) by tol)
+# per kernel: [ladder, (cutoff, tail) by tol, panel nodes, panel values]
 _RESIDUAL_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -97,17 +95,50 @@ def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
                              abs(float(taylor[_LADDER_ORDER]) - model))
 
 
-def _table(kernel: DampingKernel) -> tuple:
-    """The kernel's (ladder, residual rows, windows), made on first use."""
+def _table(kernel: DampingKernel) -> list:
+    """The kernel's [ladder, windows, nodes, values], made on first use."""
     entry = _RESIDUAL_TABLES.get(kernel)
     if entry is None:
-        entry = _RESIDUAL_TABLES[kernel] = (subtraction_ladder(kernel), {}, {})
+        empty = np.empty((0, _CHEB_POINTS))
+        entry = _RESIDUAL_TABLES[kernel] = [subtraction_ladder(kernel), {},
+                                            empty, empty]
     return entry
 
 
 def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
     """Kernel spectrum minus its ladder's spectrum; decays like omega^-5."""
     return kernel.sqrt_f_spectrum(omega) - _table(kernel)[0].spectrum(omega)
+
+
+def _residual(kernel: DampingKernel, omega) -> np.ndarray:
+    """``residual_spectrum`` at real ``omega`` on panels geometric about its
+    nearest singularity, i s0, each made by its own call; omega < 0 takes the
+    conjugate, a node its value.  Blocks of 128 points bound temporaries."""
+    entry, flat = _table(kernel), np.asarray(omega, dtype=float).ravel()
+    x = np.abs(flat)
+    top = np.max(x, initial=0.0)
+    while not len(entry[2]) or entry[2][-1, -1] < top:
+        hi = kernel.decay_gap * 2.0 ** len(entry[2])
+        lo = 0.5 * hi if len(entry[2]) else 0.0
+        nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
+            np.pi * np.arange(_CHEB_POINTS) / (_CHEB_POINTS - 1))
+        nodes[0], nodes[-1] = lo, hi
+        entry[2:] = (np.vstack([entry[2], nodes]),
+                     np.vstack([entry[3], residual_spectrum(kernel, nodes)]))
+    nodes, values = entry[2:]
+    bary = (-1.0) ** np.arange(_CHEB_POINTS)
+    bary[[0, -1]] *= 0.5
+    panel = np.searchsorted(nodes[:, 0], x, side="right") - 1
+    out = np.empty(x.shape, dtype=complex)
+    for i in range(0, x.size, 128):
+        p = panel[i:i + 128]
+        with np.errstate(all="ignore"):
+            inv = bary / (x[i:i + 128, None] - nodes[p])
+            out[i:i + 128] = np.einsum("kj,kj->k", inv, values[p]) / inv.sum(1)
+    for i in np.flatnonzero(~np.isfinite(out)).tolist():
+        out[i] = values[panel[i], np.argmin(np.abs(x[i] - nodes[panel[i]]))]
+    np.conjugate(out, out=out, where=flat < 0.0)
+    return out.reshape(np.shape(omega))
 
 
 @dataclass(frozen=True)
@@ -159,9 +190,7 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     if kernel.gamma == 0.0:
         return DampedAmplitude(bare, 0.0, 0.0, 0, bare)
 
-    ladder, rows, windows = _table(kernel)
-    if len(rows) > _PANEL_BUDGET:
-        rows.clear()
+    ladder, windows = _table(kernel)[:2]
 
     # grow the window until the omega^-5 envelope bounds the tail, per tol
     if tol not in windows:
@@ -197,23 +226,10 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
     marks += _phase_breakpoints(epsilon, width, float(ladder.rates[-1]), cutoff)
 
     def integrand(om):
-        # a row of negative nodes is keyed, computed and kept as its mirror,
-        # and served as that row's conjugate in reverse
-        flip = om[:, -1] < 0.0
-        nodes = np.where(flip[:, None], -om[:, ::-1], om)
-        keys = [row.tobytes() for row in nodes]
-        missing = {}  # spectrum rule -> {key: row index} not in the table
-        for i, peak in enumerate(np.max(np.abs(om), axis=1).tolist()):
-            if keys[i] not in rows:
-                missing.setdefault(kernel.spectrum_rule(peak), {})[keys[i]] = i
-        for new in missing.values():
-            rows.update(zip(new, residual_spectrum(
-                kernel, nodes[list(new.values())])))
-        g = np.array([rows[key] for key in keys])
-        shifted = amplitude_w_complex_height(
-            epsilon, width, 1.0 - (2.0 / width) * om)
-        return shifted * np.where(flip[:, None], np.conj(g[:, ::-1]), g)
+        return amplitude_w_complex_height(
+            epsilon, width, 1.0 - (2.0 / width) * om) * _residual(kernel, om)
 
+    interp = _interpolation_error(kernel, cutoff)
     try:
         quad = integrate_adaptive(
             integrand, -cutoff, cutoff, 0.85 * tol * 2.0 * math.pi,
@@ -223,13 +239,28 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
         raise NonConvergenceError(
             f"spectral integral did not converge at epsilon {float(epsilon)}",
             best_estimate=closed + exc.best_estimate / (2.0 * math.pi),
-            error_estimate=exc.error_estimate / (2.0 * math.pi) + tail,
+            error_estimate=exc.error_estimate / (2.0 * math.pi) + tail + interp,
         ) from exc
 
     value = closed + quad.value / (2.0 * math.pi)
-    # <= 0.95 tol: the quadrature returns within 0.85 tol, the window at 0.1 tol
-    error = quad.error_estimate / (2.0 * math.pi) + tail
+    # quadrature 0.85 tol, window 0.1 tol: only tol below ~3e-13 can miss
+    error = quad.error_estimate / (2.0 * math.pi) + tail + interp
+    if error > tol:
+        raise NonConvergenceError(
+            f"interpolation error {interp:.3e} leaves no room for tol {tol:g}",
+            best_estimate=value, error_estimate=error)
     return DampedAmplitude(value, error, cutoff, quad.panels_used, bare)
+
+
+def _interpolation_error(kernel: DampingKernel, cutoff: float) -> float:
+    """w_D's error share from ``_residual``, |w| <= 1 times 2.5e-15 (1/2 pi)
+    int |gtilde| over [-cutoff, cutoff], with |gtilde| <= min(g0, v/|omega|):
+    g0 = 1/s0 + sigma/s0^2 >= int sqrt(f), as f <= (1 + 2 sigma t) e^{-2 s0 t},
+    and v = 2 max sqrt(f) by parts, as sqrt(f) rises once from 1 and decays."""
+    s0, sig = kernel.decay_gap, kernel.sigma
+    g0 = 1.0 / s0 + sig / s0 ** 2
+    v = 2.0 * math.sqrt(sig / s0 * math.exp(s0 / sig - 1.0))  # max f's bound
+    return 2.5e-15 * v * (1.0 + math.log(max(cutoff * g0 / v, 1.0))) / math.pi
 
 
 def _next_fast_len(n: int) -> int:
@@ -247,38 +278,6 @@ def _next_fast_len(n: int) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
-def _residual_half(kernel: DampingKernel, step: float, m: int) -> np.ndarray:
-    """``residual_spectrum`` at ``step * np.arange(m + 1)``, interpolated on
-    panels [0, s0], [s0 2^k, s0 2^(k+1)], ... up to W = step * m, as it is
-    singular nearest at i s0; a grid point on a node takes the node's value."""
-    edges = [0.0, kernel.decay_gap]
-    while edges[-1] < step * m:
-        edges.append(2.0 * edges[-1])
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:-1] + [step * m])
-    cheb = -np.cos(np.pi * np.arange(_CHEB_POINTS) / (_CHEB_POINTS - 1))
-    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * cheb
-    nodes[:, 0], nodes[:, -1] = lo, hi
-    g = residual_spectrum(kernel, nodes)  # one call, peak W
-    bary = (-1.0) ** np.arange(_CHEB_POINTS)
-    bary[[0, -1]] *= 0.5
-    cols = np.dstack([g.real, g.imag, np.ones(g.shape)]) * bary[:, None]
-    x = step * np.arange(m + 1)
-    cuts = [*np.searchsorted(x, lo).tolist(), m + 1]
-    out = np.empty((m + 1, 2))  # Re, Im
-    inv, num = np.empty((256, _CHEB_POINTS)), np.empty((256, 3))  # reused
-    for p in range(lo.size):
-        for i in range(cuts[p], cuts[p + 1], 256):
-            k = min(256, cuts[p + 1] - i)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.subtract(x[i:i + k, None], nodes[p], out=inv[:k])
-                np.matmul(np.divide(1.0, inv[:k], out=inv[:k]), cols[p],
-                          out=num[:k])
-                np.divide(num[:k, :2], num[:k, 2:], out=out[i:i + k])
-            for r in np.flatnonzero(~np.isfinite(num[:k, 2])).tolist():
-                out.view(complex)[i + r] = g[p][nodes[p] == x[i + r]]
-    return out.view(complex)[:, 0]
-
-
 def amplitude_w_D_height_sweep(
     epsilon: float,
     width: float,
@@ -292,12 +291,10 @@ def amplitude_w_D_height_sweep(
     the ladder part is a handful of closed evaluations per grid point and
     the residual part one FFT convolution of bare samples on
     ``h * np.arange(-n - m, n + m + 1)``, whose middle is the caller's
-    grid bit for bit, against the residual spectrum out to the half-width
-    ``W = m h`` where its ``mismatch / omega^5`` envelope leaves a tail below
-    1e-10, clamped to [40, 200].  That spectrum is interpolated on
-    omega >= 0 from ``_CHEB_POINTS`` Chebyshev points per panel, within
-    1.8e-15 |``sqrt_f_spectrum``| of a direct call, and mirrored: 320
-    spectrum nodes, not 8,951, at figure5's kernel.  Where the tail bound
+    grid bit for bit, against the kernel's residual interpolant out to the
+    half-width ``W = m h`` where its ``mismatch / omega^5`` envelope leaves a
+    tail below 1e-10, clamped to [40, 200] (figure5's kernel: 10 spectrum
+    calls on 320 nodes, not 8,951, then none).  Where the tail bound
     ``max(mismatch, 1e-4) / (4 pi W^4)`` exceeds 1e-5 |H0|, H0 the value at
     omega = 0, it raises NonConvergenceError with H0 and the bound.  Bare
     amplitudes go ``_SWEEP_BLOCK`` heights a call, so only the output, the
@@ -332,9 +329,8 @@ def amplitude_w_D_height_sweep(
     resid_halfwidth = (envelope / (4.0 * math.pi * 1e-10)) ** 0.25
     resid_halfwidth = float(min(max(resid_halfwidth, 40.0), 200.0))
     m = int(math.ceil(resid_halfwidth / step))
-    # conjugate-symmetric: interpolate omega >= 0, mirror the rest; made
-    # before the ladder blocks' temporaries, it kept the peak RSS lower
-    half = _residual_half(kernel, step, m)
+    # omega >= 0, mirrored; made before the ladder blocks, RSS peaks lower
+    half = _residual(kernel, step * np.arange(m + 1))
     g_res = np.concatenate([np.conj(half[:0:-1]), half])
     for b in blocks:
         for aj, sj in zip(ladder.weights, ladder.rates):

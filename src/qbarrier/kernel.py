@@ -243,8 +243,7 @@ class DampingKernel:
 
         out = np.empty(flat.shape, dtype=complex)
         # per chunk the work array, updated in place, and its square root
-        # stay within 1 MB: batched residual rows fill whole chunks, and at
-        # 8 MB they showed in peak memory while bulk calls ran no faster
+        # stay within 1 MB; at 8 MB bulk calls peaked higher, no faster
         chunk = max(1, (1 << 15) // bx.size)
         for i0 in range(0, flat.size, chunk):
             a = self.decay_gap + 1j * flat[i0:i0 + chunk]

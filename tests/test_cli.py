@@ -4,6 +4,7 @@ schemas, exit codes, byte-for-byte determinism, and a lean import path."""
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -552,21 +553,18 @@ def test_cli_width_whose_heights_overflow_fails_with_a_reason(
         assert all(f": DomainError: {reason}" in line for line in lines[1:])
 
 
-@pytest.mark.parametrize("golden, argv", [
-    ("transmission_g5e-3.csv",
-     ["transmission", "--epsilon-range", "0.5:3:9", "--gamma-star", "5e-3"]),
-    ("transmission_g1e-5_omega10.csv",
-     ["transmission", "--epsilon-range", "0.5:3:5", "--gamma-star", "1e-5",
-      "--omega-star", "10"]),
-    ("cumulative_g1e-3.csv",
-     ["cumulative", "--tau-range", "0:5:11", "--gamma-star", "1e-3"]),
-    ("figure3.csv", ["figure3"]),
-    ("figure5.csv", ["figure5"])],
-    ids=["transmission", "weak-damping", "cumulative", "figure3", "figure5"])
+_DAMPED_GOLDENS = runpy.run_path(
+    str(Path(__file__).parent / "goldens" / "make_goldens.py"))["DAMPED"]
+
+
+@pytest.mark.parametrize("golden, argv",
+                         [entry[1:] for entry in _DAMPED_GOLDENS],
+                         ids=[entry[0] for entry in _DAMPED_GOLDENS])
 def test_cli_damped_output_matches_its_golden(capsys, golden, argv):
     # w_D cells rest on the spectral panel layout and C_D cells on the
     # height sweep and the angle-addition Filon sum; each golden is
-    # `python -m qbarrier ARGV --no-timestamp` and pins them byte for byte
+    # `python -m qbarrier ARGV --no-timestamp`, written by
+    # tests/goldens/make_goldens.py, and pins them byte for byte
     assert main(argv + ["--no-timestamp"]) == 0
     expected = (Path(__file__).parent / "goldens" / golden).read_text()
     assert capsys.readouterr().out == expected

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qbarrier import damped, quadrature, sweep
+from qbarrier import damped, quadrature
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
                               transmission_prob)
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
@@ -18,7 +18,8 @@ from qbarrier.errors import (DegenerateKernelError, DomainError,
                              NonConvergenceError)
 from qbarrier.kernel import DampingKernel
 from qbarrier.sweep import run_transmission
-from qbarrier.traversal import SpectralGrid, distribution_F_D
+from qbarrier.traversal import (SpectralGrid, cumulative_amplitude,
+                                distribution_F_D)
 
 STD = DampingKernel(5e-3, 100.0)
 
@@ -126,75 +127,10 @@ def test_sweep_sharing_a_kernel_matches_fresh_kernels(order):
                 2.0 * abs(ref.value) * ref.error_estimate)
 
 
-def test_residual_table_rows_are_their_own_15_node_calls(monkeypatch):
-    # the spectrum picks its rule from the peak |omega| of each call, so
-    # a row computed in a larger batch could differ in the last bits; at
-    # weak damping the rule changes within the window.  A row of negative
-    # nodes is kept as its mirror and served as that row's conjugate in
-    # reverse: every integrand value must still be its bare amplitude times
-    # its row's own call, bit for bit
-    kernel, mirrored = DampingKernel(1e-5, 10.0), []
-    quad = damped.integrate_adaptive
-
-    def checked_quad(fn, *args, **kwargs):
-        def checked_fn(x):
-            y = fn(x)
-            own = np.array([residual_spectrum(kernel, row) for row in x])
-            bare = amplitude_w_complex_height(e, 5.0, 1.0 - (2.0 / 5.0) * x)
-            assert y.tobytes() == (bare * own).tobytes()
-            mirrored.extend(row for row in x if row[-1] < 0.0)
-            return y
-        return quad(checked_fn, *args, **kwargs)
-
-    monkeypatch.setattr(damped, "integrate_adaptive", checked_quad)
-    for e in (1.3, 2.0):
-        amplitude_w_D(e, 5.0, kernel)
-    rows = damped._RESIDUAL_TABLES[kernel][1]
-    assert len(rows) > 40
-    for key, row in rows.items():
-        nodes = np.frombuffer(key)
-        assert nodes.shape == (15,) and nodes[-1] >= 0.0
-        assert np.array_equal(row, residual_spectrum(kernel, nodes))
-    # served from its mirror: the table holds no negative row of its own
-    assert mirrored
-    assert all((-row[::-1]).tobytes() in rows for row in mirrored)
-
-
-def test_residual_rows_take_one_spectrum_call_per_rule(monkeypatch):
-    # the integrand computes its missing rows in one call per spectrum rule:
-    # 2 calls here, the 3-node window probe and one block of 25 rows (34
-    # before a row of negative nodes was kept as its mirror), where a call
-    # per 15-node row made 35
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
-    kernel, shapes, integrand_calls = DampingKernel(5e-3, 100.0), [], []
-    spectrum, quad = DampingKernel.sqrt_f_spectrum, damped.integrate_adaptive
-
-    def counted_spectrum(self, omega):
-        shapes.append(np.shape(omega))
-        return spectrum(self, omega)
-
-    def counted_quad(fn, *args, **kwargs):
-        def counted_fn(x):
-            integrand_calls.append(x.shape)
-            return fn(x)
-        return quad(counted_fn, *args, **kwargs)
-
-    monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted_spectrum)
-    monkeypatch.setattr(damped, "integrate_adaptive", counted_quad)
-    amplitude_w_D(1.3, 5.0, kernel)
-    rows = damped._RESIDUAL_TABLES[kernel][1]
-    rules = {kernel.spectrum_rule(np.max(np.abs(np.frombuffer(key))))
-             for key in rows}
-    probes = shapes.count((3,))
-    assert probes >= 1 and len(integrand_calls) >= 1 and len(rows) > 15
-    assert len(shapes) <= len(integrand_calls) * len(rules) + probes
-
-
 def test_w_D_searches_its_window_once_per_kernel_and_tol(monkeypatch):
     # the window depends on the kernel and tol alone, so the kernel's table
     # keeps it: these four energies make one 3-node window probe, where
-    # each made its own, and 858 spectrum nodes, where computing mirrored
-    # rows twice as well made 1,017
+    # each made its own
     shapes = []
     spectrum = DampingKernel.sqrt_f_spectrum
 
@@ -208,31 +144,26 @@ def test_w_D_searches_its_window_once_per_kernel_and_tol(monkeypatch):
     for e in (0.5, 1.3, 2.0, 4.0):
         amplitude_w_D(e, 5.0, kernel)
     assert shapes.count((3,)) == 1
-    assert sum(math.prod(shape) for shape in shapes) < 900
     # a second tol searches its own window once, here in one probe
     for e in (1.3, 2.0):
         amplitude_w_D(e, 5.0, kernel, tol=1e-4)
     assert shapes.count((3,)) == 2
-    # clearing the rows past the panel budget keeps the windows
-    monkeypatch.setattr(damped, "_PANEL_BUDGET", 0)
-    amplitude_w_D(1.7, 5.0, kernel)
-    assert shapes.count((3,)) == 2 and damped._table(kernel)[1]
     # a fresh table searches again, and a failed search keeps nothing
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     amplitude_w_D(1.3, 5.0, kernel)
     assert shapes.count((3,)) == 3
     with pytest.raises(NonConvergenceError, match="tail bound stuck"):
         amplitude_w_D(1.3, 5.0, kernel, tol=5e-324)
-    assert list(damped._table(kernel)[2]) == [1e-6]
+    assert list(damped._table(kernel)[1]) == [1e-6]
 
 
 @pytest.mark.parametrize("cutoff", [10.0, 100.0, 1000.0])
 @pytest.mark.parametrize("gamma", [1e-5, 1e-3, 5e-3, 0.05, 1.0])
 def test_residual_spectrum_negates_to_its_conjugate(gamma, cutoff):
-    # amplitude_w_D serves a row of negative nodes as the conjugate of its
-    # mirror's row in reverse, so over the box's corners negated
-    # frequencies must give the conjugate to the bit: on one grid call and
-    # on 15-node panel rows, whose mirrors the quadrature builds exactly
+    # the residual interpolant serves omega < 0 as the conjugate of its
+    # value at -omega, as the direct spectrum would: over the box's corners
+    # negated frequencies give the conjugate to the bit, on one grid call
+    # and on 15-node panel rows against their mirrors
     kernel = DampingKernel(gamma, cutoff)
     om = np.geomspace(1e-2, 1e3, 301)
     assert (residual_spectrum(kernel, -om).tobytes()
@@ -285,30 +216,6 @@ def test_used_kernel_equals_hashes_and_prints_like_a_new_one():
     assert damped._RESIDUAL_TABLES[fresh] is damped._RESIDUAL_TABLES[used]
     del used
     assert fresh not in damped._RESIDUAL_TABLES
-
-
-def test_residual_rows_start_afresh_past_the_panel_budget(monkeypatch):
-    # the rows' reuse comes from the energy before, so a call that finds
-    # more than _PANEL_BUDGET of them clears them first; this sweep's table
-    # would grow to 370 rows unbounded, and its bits must not depend on it
-    eps = np.linspace(0.5, 3.0, 10)
-    plain = run_transmission(5.0, eps, [5e-3], 1000.0)
-    kernel = DampingKernel(5e-3, 1000.0)
-    rows = damped._table(kernel)[1]  # the sweep's equal kernel shares it
-    counts = []
-
-    def counted(*args, **kwargs):
-        result = amplitude_w_D(*args, **kwargs)
-        counts.append(len(rows))
-        return result
-
-    monkeypatch.setattr(damped, "_PANEL_BUDGET", 100)
-    monkeypatch.setattr(sweep, "amplitude_w_D", counted)
-    bounded = run_transmission(5.0, eps, [5e-3], 1000.0)
-    assert len(counts) == 10 and max(counts) <= 200
-    assert counts != sorted(counts)  # cleared at least once
-    assert np.array_equal(bounded.table, plain.table)
-    assert bounded.errors == plain.errors
 
 
 def test_weak_damping_continuity():
@@ -397,9 +304,9 @@ def test_tunneling_enhancement_below_barrier():
     (1e-5, 10.0), (1e-3, 100.0), (5e-3, 100.0), (0.05, 100.0), (0.5, 1000.0)])
 def test_residual_spectrum_mirrors_bit_for_bit(gamma, cutoff):
     # the residual spectrum is conjugate-symmetric to the bit (signs of
-    # zeros included) on symmetric grids: the height sweep takes omega < 0
-    # as the conjugate of its omega >= 0 half, as amplitude_w_D serves a
-    # row of negative nodes from its mirror
+    # zeros included) on symmetric grids, as the residual interpolant is by
+    # construction: it serves omega < 0 as a conjugate, and the height sweep
+    # mirrors its omega >= 0 half
     kernel = DampingKernel(gamma, cutoff)
     for step, n in ((0.0125, 3200), (0.1, 2000), (0.002527, 800)):
         full = residual_spectrum(kernel, step * np.arange(-n, n + 1))
@@ -510,48 +417,151 @@ def test_height_sweep_bits_do_not_depend_on_the_block_length(monkeypatch,
 
 @pytest.mark.parametrize("gamma, cutoff", [
     (1e-3, 100.0), (5e-3, 100.0), (0.05, 100.0), (5e-3, 10.0), (0.02, 300.0),
-    (0.05, 1000.0), (1.0, 1000.0)])
+    (0.05, 1000.0), (1.0, 1000.0), (1e-5, 10.0)])
 def test_height_sweep_interpolates_its_residual_half_to_the_spectrum_floor(
         monkeypatch, gamma, cutoff):
-    # the sweep's residual half comes from 32 Chebyshev points per panel;
-    # on the half-grid the sweep asks for, the interpolant meets the direct
-    # call to the spectrum's own 1.5e-15 level (16 points miss by 2.5e-10
-    # at all but the last kernel, whose one panel is narrower than s0)
-    kernel, calls = DampingKernel(gamma, cutoff), []
-    half = damped._residual_half
+    # the sweep's residual half and w_D's integrand read one interpolant, 32
+    # Chebyshev points per panel; over each tol's whole w_D window it meets
+    # the direct call to the spectrum's own 1.5e-15 level (16 points miss by
+    # about 2.5e-10), and a point on a node takes the node's value
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    kernel = DampingKernel(gamma, cutoff)
+    for tol in (1e-6, 1e-10):
+        window = amplitude_w_D(1.3, 5.0, kernel, tol=tol).cutoff
+        omega = np.concatenate([window * np.geomspace(1e-9, 1.0, 3001),
+                                np.linspace(0.0, window, 3001)])
+        omega = np.concatenate([omega, -omega])
+        got = damped._residual(kernel, omega)
+        want = residual_spectrum(kernel, omega)
+        assert np.all(np.abs(got - want)
+                      <= 2.5e-15 * np.abs(kernel.sqrt_f_spectrum(omega)))
+    nodes, values = damped._table(kernel)[2:]
+    assert np.array_equal(damped._residual(kernel, nodes[:, :-1]),
+                          values[:, :-1])
+    assert np.array_equal(damped._residual(kernel, -nodes[:, :-1]),
+                          np.conj(values[:, :-1]))
 
-    def recording(kernel, step, m):
-        calls.append((step, m, half(kernel, step, m)))
-        return calls[-1][2]
 
-    monkeypatch.setattr(damped, "_residual_half", recording)
-    step = min(0.0125, kernel.decay_gap / 25.0)  # cumulative_amplitude's
-    try:
-        amplitude_w_D_height_sweep(1.3, 5.0, kernel, step * np.arange(-40, 41))
-    except NonConvergenceError:
-        assert cutoff == 1000.0  # the residual tail refused after the half
-    [(step, m, got)] = calls
-    omega = step * np.arange(m + 1)
-    want = residual_spectrum(kernel, omega)
-    assert got[0] == want[0] and got[-1] == want[-1]  # nodes at 0 and W
-    assert np.all(np.abs(got - want)
-                  <= 2.5e-15 * np.abs(kernel.sqrt_f_spectrum(omega)))
+def _spectrum_shapes(monkeypatch) -> list:
+    """The shapes of every ``sqrt_f_spectrum`` call from here on."""
+    shapes = []
+    spectrum = DampingKernel.sqrt_f_spectrum
+
+    def counted(self, omega):
+        shapes.append(np.shape(omega))
+        return spectrum(self, omega)
+
+    monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted)
+    return shapes
+
+
+def _panels_to(kernel, reach) -> int:
+    """Panels [0, s0], [s0, 2 s0], ... needed to reach ``reach``."""
+    top, count = kernel.decay_gap, 1
+    while top < reach:
+        top, count = 2.0 * top, count + 1
+    return count
 
 
 def test_height_sweep_makes_one_spectrum_call_of_few_nodes(monkeypatch):
     # the figure5-shaped sweep's residual half spans 8,951 grid nodes, all
-    # of which one spectrum call evaluated; the interpolant needs 320
-    sizes = []
-    spectrum = DampingKernel.sqrt_f_spectrum
+    # of which one spectrum call evaluated; on a fresh table the interpolant
+    # makes one 32-node call per panel, 10 of them, and a second sweep on
+    # the same kernel none
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    shapes = _spectrum_shapes(monkeypatch)
+    kernel = DampingKernel(5e-3, 100.0)
+    grid = 0.0125 * np.arange(-32768, 32769)
+    amplitude_w_D_height_sweep(1.3, 5.0, kernel, grid)
+    assert len(shapes) <= 12
+    assert sum(math.prod(shape) for shape in shapes) <= 400
+    shapes.clear()
+    amplitude_w_D_height_sweep(1.3, 5.0, kernel, grid)
+    assert shapes == []
 
-    def counted(self, omega):
-        sizes.append(np.size(omega))
-        return spectrum(self, omega)
 
-    monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted)
-    amplitude_w_D_height_sweep(1.3, 5.0, DampingKernel(5e-3, 100.0),
-                               0.0125 * np.arange(-32768, 32769))
-    assert len(sizes) == 1 and sizes[0] <= 400
+def test_w_D_reads_its_residual_from_panels_made_once(monkeypatch):
+    # the first w_D on a fresh table makes its 3-node window probe and one
+    # 32-node call per panel out to its window; later energies at the same
+    # tol make no spectrum call, where each made rows of its own
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    shapes = _spectrum_shapes(monkeypatch)
+    kernel = DampingKernel(5e-3, 100.0)
+    count = _panels_to(kernel, amplitude_w_D(1.3, 5.0, kernel).cutoff)
+    assert shapes == [(3,)] + [(damped._CHEB_POINTS,)] * count
+    assert len(damped._table(kernel)[2]) == count
+    shapes.clear()
+    for e in (0.5, 2.0, 4.0):
+        amplitude_w_D(e, 5.0, kernel)
+    assert shapes == []
+
+
+def test_residual_bits_do_not_depend_on_the_table_history(monkeypatch):
+    # a panel's values are its own spectrum call, so w_D and C_D keep their
+    # bits whichever call, tol or route first made the panels they read
+    def fresh():
+        monkeypatch.setattr(damped, "_RESIDUAL_TABLES",
+                            weakref.WeakKeyDictionary())
+
+    kernel, taus = DampingKernel(5e-3, 100.0), np.linspace(0.0, 5.0, 11)
+    fresh()
+    w_D = amplitude_w_D(1.3, 5.0, kernel)
+    fresh()
+    c_D = cumulative_amplitude(1.3, 5.0, kernel, taus).values.tobytes()
+    fresh()
+    amplitude_w_D(1.3, 5.0, kernel, tol=1e-10)  # a window 8 times wider
+    assert amplitude_w_D(1.3, 5.0, kernel) == w_D
+    fresh()
+    amplitude_w_D(1.3, 5.0, kernel)
+    assert cumulative_amplitude(1.3, 5.0, kernel, taus).values.tobytes() == c_D
+    fresh()
+    cumulative_amplitude(1.3, 5.0, kernel, taus)
+    assert amplitude_w_D(1.3, 5.0, kernel) == w_D
+
+
+def test_residual_panels_stay_those_of_the_window(monkeypatch):
+    # the table holds the panels out to the widest call and no more, so a
+    # sweep of any number of energies keeps the panel count of its window;
+    # rows kept by node bytes grew with the energies until a budget cleared
+    # them
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    kernel = DampingKernel(5e-3, 1000.0)
+    entry = damped._table(kernel)  # the sweeps' equal kernels share it
+    run_transmission(5.0, np.linspace(0.5, 3.0, 10), [5e-3], 1000.0)
+    count = _panels_to(kernel, entry[1][1e-6][0])
+    assert len(entry[2]) == count
+    run_transmission(5.0, np.linspace(0.55, 3.05, 40), [5e-3], 1000.0)
+    assert len(entry[2]) == count
+
+
+@pytest.mark.parametrize("gamma, cutoff, epsilon", [
+    (1e-6, 10.0, 0.4), (1e-5, 10.0, 1.3), (5e-3, 100.0, 2.0),
+    (0.05, 100.0, 1.3), (0.5, 1000.0, 4.0)])
+def test_w_D_error_carries_the_interpolation_share(monkeypatch, gamma, cutoff,
+                                                   epsilon):
+    # w_D's error carries 2.5e-15 of (1 / 2 pi) int |gtilde| over the
+    # window for the interpolant; it covers the move to the direct residual
+    # on the same panel tree, and is far below any tol the package takes
+    kernel = DampingKernel(gamma, cutoff)
+    got = amplitude_w_D(epsilon, 5.0, kernel)
+    share = damped._interpolation_error(kernel, got.cutoff)
+    monkeypatch.setattr(damped, "_residual", residual_spectrum)
+    direct = amplitude_w_D(epsilon, 5.0, kernel)
+    assert direct.panels_used == got.panels_used
+    assert abs(got.value - direct.value) <= share < 5e-14
+    assert got.error_estimate >= share
+
+
+def test_w_D_refuses_a_tol_its_interpolation_share_breaks():
+    # below about 3e-13 the interpolation share alone exceeds what the
+    # window and quadrature leave of tol: the best estimate is kept
+    ref = amplitude_w_D(2.0, 5.0, STD, tol=1e-11)
+    with pytest.raises(NonConvergenceError, match="interpolation error") as info:
+        amplitude_w_D(2.0, 5.0, STD, tol=1e-13)
+    err = info.value
+    assert err.error_estimate > 1e-13
+    assert abs(err.best_estimate - ref.value) <= ref.error_estimate
+    assert amplitude_w_D(2.0, 5.0, STD, tol=1e-12).error_estimate <= 1e-12
 
 
 def test_ladder_refuses_a_decay_gap_its_powers_underflow():

@@ -7,6 +7,7 @@ metrics silently empty."""
 import importlib
 import importlib.util
 import inspect
+import weakref
 from pathlib import Path
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -86,10 +87,12 @@ def test_engine_reaches_its_inner_sites_through_their_modules(monkeypatch):
     # the same for the sites inside the engine: the barrier amplitudes as
     # damped and traversal look them up, the height sweep, the kernel's
     # methods and the quadrature.  One damped call of each traced kind
-    # must reach every one of them through the wrapper
+    # must reach every one of them through the wrapper.  A fresh residual
+    # table, since one an equal kernel filled earlier makes no spectrum call
     from qbarrier import damped, traversal
     from qbarrier.kernel import DampingKernel
 
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     inner = [(module, attr) for module, attr, *_ in _sites()
              if module != "qbarrier.sweep"]
     inner.append(("qbarrier.damped", "integrate_adaptive"))

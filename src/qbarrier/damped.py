@@ -31,10 +31,11 @@ amplitude exactly.
 A weak table per kernel, shared by equal kernels, keeps the ladder, each
 tol's window and the residual interpolant both damped routes read:
 ``_CHEB_POINTS`` second-kind Chebyshev points on each panel [0, s0],
-[s0, 2 s0], [2 s0, 4 s0], ..., appended as calls reach further, each its
-own spectrum call, within 1.8e-15 |``sqrt_f_spectrum``| of a direct call
-(``figure3``: 20 calls on 582 nodes, where rows of 15 nodes took 770 on
-86,016).  w_D's error carries that share.
+[s0, 2 s0], ..., up to the one holding 40 sigma, each its own spectrum
+call, within 1.8e-15 |gtilde| of a direct call.  Past 40 sigma the residual
+is the ladder's large-omega series, within 2.2e-16 |gtilde| of a 30-digit
+sum where a direct call misses by 1.4e-15 (weak damping: 8 panels, not 21).
+w_D's error carries that share.
 """
 
 from __future__ import annotations
@@ -52,11 +53,15 @@ from .kernel import DampingKernel
 from .quadrature import integrate_adaptive
 
 _LADDER_ORDER = 4
+# from this many sigma on, the residual spectrum is its large-omega series
+_SERIES_SIGMAS = 40.0
 # heights per bare-amplitude call of the height sweep, which bounds its
 # working set; no result depends on it
 _SWEEP_BLOCK = 1 << 13
 # second-kind Chebyshev points per panel of the residual interpolant
 _CHEB_POINTS = 32
+_BARY = (-1.0) ** np.arange(_CHEB_POINTS)  # their barycentric weights
+_BARY[[0, -1]] *= 0.5
 # per kernel: [ladder, (cutoff, tail) by tol, panel nodes, panel values]
 _RESIDUAL_TABLES = weakref.WeakKeyDictionary()
 
@@ -68,6 +73,7 @@ class SubtractionLadder:
     rates: np.ndarray
     weights: np.ndarray
     mismatch: float  # of the first unmatched derivative, the residual scale
+    series: np.ndarray  # c_j of gtilde's large-omega series, see _residual
 
     def spectrum(self, omega) -> np.ndarray:
         """Transform of the ladder, ``sum_j a_j / (s_j + i omega)``."""
@@ -91,8 +97,13 @@ def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
         raise DegenerateKernelError(f"no subtraction ladder for decay gap "
                                     f"{kernel.decay_gap:.3e}: {exc}") from exc
     model = float(np.sum(weights * (-rates) ** _LADDER_ORDER).real)
+    # Watson: gtilde ~ sum_k sqrt(f)^(k)(0) / (i omega)^(k+1), k <= 10, made
+    # from the kernel of unit sigma, whose derivatives do not overflow
+    unit = DampingKernel(kernel.gamma / kernel.sigma, kernel.cutoff)
+    terms = np.resize([-1j, -1.0, 1j, 1.0], 11) * unit.taylor_sqrt_f(10)
+    series = np.append(terms, 0.0).reshape(6, 2).sum(1) / kernel.sigma
     return SubtractionLadder(rates, weights,
-                             abs(float(taylor[_LADDER_ORDER]) - model))
+                             abs(float(taylor[_LADDER_ORDER]) - model), series)
 
 
 def _table(kernel: DampingKernel) -> list:
@@ -111,13 +122,32 @@ def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
 
 
 def _residual(kernel: DampingKernel, omega) -> np.ndarray:
-    """``residual_spectrum`` at real ``omega`` on panels geometric about its
-    nearest singularity, i s0, each made by its own call; omega < 0 takes the
-    conjugate, a node its value.  Blocks of 128 points bound temporaries."""
+    """``residual_spectrum`` at real ``omega``, conjugated for omega < 0:
+    ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, then u (u Re C + i Im C),
+    C = sum_j c_j u^2j in u = sigma/omega, less the ladder's spectrum."""
     entry, flat = _table(kernel), np.asarray(omega, dtype=float).ravel()
-    x = np.abs(flat)
-    top = np.max(x, initial=0.0)
-    while not len(entry[2]) or entry[2][-1, -1] < top:
+    x, out = np.abs(flat), np.empty(flat.shape, dtype=complex)
+    far = x >= _SERIES_SIGMAS * kernel.sigma
+    count, ladder = np.count_nonzero(far), entry[0]
+    with np.errstate(all="ignore"):
+        if count < x.size:
+            out[~far] = _interpolated(kernel, entry, x[~far] if count else x)
+        if count:
+            xf = x[far] if count < x.size else x
+            u = kernel.sigma / xf
+            v, acc = u * u + 0j, ladder.series[-1]
+            for c in ladder.series[-2::-1]:
+                acc = acc * v + c
+            acc.real *= u
+            out[far] = acc * u - ladder.spectrum(xf)
+    np.conjugate(out, out=out, where=flat < 0.0)
+    return out.reshape(np.shape(omega))
+
+
+def _interpolated(kernel: DampingKernel, entry: list, x: np.ndarray):
+    """The residual at nonempty 0 <= x < 40 sigma on panels geometric about
+    its nearest singularity, i s0; a node takes its value."""
+    while not len(entry[2]) or entry[2][-1, -1] < x.max():
         hi = kernel.decay_gap * 2.0 ** len(entry[2])
         lo = 0.5 * hi if len(entry[2]) else 0.0
         nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
@@ -126,19 +156,15 @@ def _residual(kernel: DampingKernel, omega) -> np.ndarray:
         entry[2:] = (np.vstack([entry[2], nodes]),
                      np.vstack([entry[3], residual_spectrum(kernel, nodes)]))
     nodes, values = entry[2:]
-    bary = (-1.0) ** np.arange(_CHEB_POINTS)
-    bary[[0, -1]] *= 0.5
     panel = np.searchsorted(nodes[:, 0], x, side="right") - 1
     out = np.empty(x.shape, dtype=complex)
     for i in range(0, x.size, 128):
         p = panel[i:i + 128]
-        with np.errstate(all="ignore"):
-            inv = bary / (x[i:i + 128, None] - nodes[p])
-            out[i:i + 128] = np.einsum("kj,kj->k", inv, values[p]) / inv.sum(1)
+        inv = _BARY / (x[i:i + 128, None] - nodes[p])
+        out[i:i + 128] = np.einsum("kj,kj->k", inv, values[p]) / inv.sum(1)
     for i in np.flatnonzero(~np.isfinite(out)).tolist():
         out[i] = values[panel[i], np.argmin(np.abs(x[i] - nodes[panel[i]]))]
-    np.conjugate(out, out=out, where=flat < 0.0)
-    return out.reshape(np.shape(omega))
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,7 +282,8 @@ def _interpolation_error(kernel: DampingKernel, cutoff: float) -> float:
     """w_D's error share from ``_residual``, |w| <= 1 times 2.5e-15 (1/2 pi)
     int |gtilde| over [-cutoff, cutoff], with |gtilde| <= min(g0, v/|omega|):
     g0 = 1/s0 + sigma/s0^2 >= int sqrt(f), as f <= (1 + 2 sigma t) e^{-2 s0 t},
-    and v = 2 max sqrt(f) by parts, as sqrt(f) rises once from 1 and decays."""
+    and v = 2 max sqrt(f) by parts, as sqrt(f) rises once from 1 and decays.
+    It covers the series past 40 sigma, within 2.2e-16 |gtilde| of mpmath."""
     s0, sig = kernel.decay_gap, kernel.sigma
     g0 = 1.0 / s0 + sig / s0 ** 2
     v = 2.0 * math.sqrt(sig / s0 * math.exp(s0 / sig - 1.0))  # max f's bound
@@ -293,8 +320,8 @@ def amplitude_w_D_height_sweep(
     ``h * np.arange(-n - m, n + m + 1)``, whose middle is the caller's
     grid bit for bit, against the kernel's residual interpolant out to the
     half-width ``W = m h`` where its ``mismatch / omega^5`` envelope leaves a
-    tail below 1e-10, clamped to [40, 200] (figure5's kernel: 10 spectrum
-    calls on 320 nodes, not 8,951, then none).  Where the tail bound
+    tail below 1e-10, clamped to [40, 200] (figure5's kernel: 8 spectrum
+    calls on 256 nodes, not 8,951, then none).  Where the tail bound
     ``max(mismatch, 1e-4) / (4 pi W^4)`` exceeds 1e-5 |H0|, H0 the value at
     omega = 0, it raises NonConvergenceError with H0 and the bound.  Bare
     amplitudes go ``_SWEEP_BLOCK`` heights a call, so only the output, the

@@ -1,11 +1,13 @@
 """Write the damped goldens that ``tests/test_cli.py`` compares byte for byte.
 
+    python3 tests/goldens/make_goldens.py --diff
     python3 tests/goldens/make_goldens.py
 
 Each file is the stdout of ``python -m qbarrier ARGV --no-timestamp`` on
-this checkout's ``src``.  Run it only after a cell-wise diff against the old
-files shows the moves the change explains: the goldens freeze the new
-output byte for byte.
+this checkout's ``src``.  Run it only after ``--diff`` has shown the moves
+the change explains: the goldens freeze the new output byte for byte.
+``--diff`` writes nothing; per golden it prints the cells that moved, the
+largest move and the header lines that changed.
 """
 
 import os
@@ -30,18 +32,47 @@ DAMPED = (
 )
 
 
-def main() -> int:
+def diff(golden: str, old: str, new: str) -> str:
+    """One report line per golden, then each changed header line."""
+    old_head, new_head = ([ln for ln in text.splitlines() if ln.startswith("#")]
+                          for text in (old, new))
+    old_rows, new_rows = ([ln.split(",") for ln in text.splitlines()
+                           if not ln.startswith("#")] for text in (old, new))
+    if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
+        return f"{golden}: the table's shape changed"
+    moves = [abs(float(b) - float(a))
+             for ra, rb in zip(old_rows[1:], new_rows[1:])
+             for a, b in zip(ra, rb) if a != b]
+    lines = [f"{golden}: {len(moves)} of {sum(map(len, old_rows[1:]))} cells "
+             f"moved, by at most {max(moves, default=0.0):.2g}"]
+    if old_rows[:1] != new_rows[:1]:
+        lines.append(f"  columns {','.join(old_rows[0])} -> "
+                     f"{','.join(new_rows[0])}")
+    lines += [f"  {a} -> {b}" for a, b in zip(old_head, new_head) if a != b]
+    if len(old_head) != len(new_head):
+        lines.append(f"  {len(old_head)} header lines -> {len(new_head)}")
+    return "\n".join(lines)
+
+
+def main(argv: list) -> int:
+    if argv not in ([], ["--diff"]):
+        sys.stderr.write("usage: make_goldens.py [--diff]\n")
+        return 2
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for _, golden, argv in DAMPED:
+    for _, golden, args in DAMPED:
         done = subprocess.run(
-            [sys.executable, "-m", "qbarrier", *argv, "--no-timestamp"],
+            [sys.executable, "-m", "qbarrier", *args, "--no-timestamp"],
             env=env, capture_output=True)
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode())
             return done.returncode
-        (HERE / golden).write_bytes(done.stdout)
+        if argv:
+            print(diff(golden, (HERE / golden).read_text(),
+                       done.stdout.decode()))
+        else:
+            (HERE / golden).write_bytes(done.stdout)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

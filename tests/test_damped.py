@@ -421,9 +421,10 @@ def test_height_sweep_bits_do_not_depend_on_the_block_length(monkeypatch,
 def test_height_sweep_interpolates_its_residual_half_to_the_spectrum_floor(
         monkeypatch, gamma, cutoff):
     # the sweep's residual half and w_D's integrand read one interpolant, 32
-    # Chebyshev points per panel; over each tol's whole w_D window it meets
-    # the direct call to the spectrum's own 1.5e-15 level (16 points miss by
-    # about 2.5e-10), and a point on a node takes the node's value
+    # Chebyshev points per panel, and past 40 sigma its large-omega series;
+    # over each tol's whole w_D window it meets the direct call to the
+    # spectrum's own 1.5e-15 level (16 points miss by about 2.5e-10), and a
+    # point on a node below the series takes the node's value
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     kernel = DampingKernel(gamma, cutoff)
     for tol in (1e-6, 1e-10):
@@ -436,10 +437,12 @@ def test_height_sweep_interpolates_its_residual_half_to_the_spectrum_floor(
         assert np.all(np.abs(got - want)
                       <= 2.5e-15 * np.abs(kernel.sqrt_f_spectrum(omega)))
     nodes, values = damped._table(kernel)[2:]
-    assert np.array_equal(damped._residual(kernel, nodes[:, :-1]),
-                          values[:, :-1])
-    assert np.array_equal(damped._residual(kernel, -nodes[:, :-1]),
-                          np.conj(values[:, :-1]))
+    below = nodes < damped._SERIES_SIGMAS * kernel.sigma
+    below[:, -1] = False
+    assert np.array_equal(damped._residual(kernel, nodes[below]),
+                          values[below])
+    assert np.array_equal(damped._residual(kernel, -nodes[below]),
+                          np.conj(values[below]))
 
 
 def _spectrum_shapes(monkeypatch) -> list:
@@ -456,7 +459,9 @@ def _spectrum_shapes(monkeypatch) -> list:
 
 
 def _panels_to(kernel, reach) -> int:
-    """Panels [0, s0], [s0, 2 s0], ... needed to reach ``reach``."""
+    """Panels [0, s0], [s0, 2 s0], ... needed to reach ``reach``, or the
+    series threshold if that is lower."""
+    reach = min(reach, damped._SERIES_SIGMAS * kernel.sigma)
     top, count = kernel.decay_gap, 1
     while top < reach:
         top, count = 2.0 * top, count + 1
@@ -496,6 +501,21 @@ def test_w_D_reads_its_residual_from_panels_made_once(monkeypatch):
     assert shapes == []
 
 
+def test_weak_damping_kernel_makes_eight_panels(monkeypatch):
+    # at gamma 1e-5, Omega 10 the w_D window reaches 250,000 sigma; the
+    # interpolant stops at the panel holding 40 sigma, where the series
+    # takes over, so the first w_D makes its 3-node window probe and eight
+    # 32-node panel calls, where panels out to the window made 21
+    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    shapes = _spectrum_shapes(monkeypatch)
+    kernel = DampingKernel(1e-5, 10.0)
+    assert amplitude_w_D(1.3, 5.0, kernel).cutoff > 2e5 * kernel.sigma
+    assert shapes == [(3,)] + [(damped._CHEB_POINTS,)] * 8
+    shapes.clear()
+    amplitude_w_D(2.0, 5.0, kernel)
+    assert shapes == []
+
+
 def test_residual_bits_do_not_depend_on_the_table_history(monkeypatch):
     # a panel's values are its own spectrum call, so w_D and C_D keep their
     # bits whichever call, tol or route first made the panels they read
@@ -520,10 +540,10 @@ def test_residual_bits_do_not_depend_on_the_table_history(monkeypatch):
 
 
 def test_residual_panels_stay_those_of_the_window(monkeypatch):
-    # the table holds the panels out to the widest call and no more, so a
-    # sweep of any number of energies keeps the panel count of its window;
-    # rows kept by node bytes grew with the energies until a budget cleared
-    # them
+    # the table holds the panels out to the widest call, or to the one
+    # holding 40 sigma if that is lower, and no more, so a sweep of any
+    # number of energies keeps the panel count of its window; rows kept by
+    # node bytes grew with the energies until a budget cleared them
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     kernel = DampingKernel(5e-3, 1000.0)
     entry = damped._table(kernel)  # the sweeps' equal kernels share it

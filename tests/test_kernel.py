@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbarrier import damped
 from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
 from qbarrier.kernel import DampingKernel, _central_ratio
 from qbarrier.reference import (MASS, peak_time, propagator_coefficients,
@@ -306,6 +307,37 @@ def test_spectrum_against_mpmath():
             got = kernel.sqrt_f_spectrum(omega)
             worst[gamma, cutoff, omega] = abs(got - want) / abs(want)
     assert max(worst.values()) <= 1e-14, worst
+
+
+@pytest.mark.parametrize("gamma, cutoff", [
+    (1e-5, 10.0), (5e-3, 100.0), (0.5, 1000.0)])
+def test_residual_series_against_mpmath(gamma, cutoff):
+    # from 40 sigma on, the residual is the ladder's large-omega series less
+    # the ladder's exact spectrum; the series meets the 30-digit sum within
+    # 2.2e-16 |gtilde|, where the direct spectrum misses by 1e-15 past 200
+    # sigma (the error depends only on omega/sigma and gamma/sigma, which
+    # these kernels span over Omega >= 10)
+    kernel = DampingKernel(gamma, cutoff)
+    ladder = damped.subtraction_ladder(kernel)
+    for ratio in (40.0, 200.0, 2000.0):
+        omega = ratio * kernel.sigma
+        assert omega >= damped._SERIES_SIGMAS * kernel.sigma
+        want = _spectrum_mpmath(kernel, omega)
+        got = damped._residual(kernel, np.array([omega, -omega]))
+        got += ladder.spectrum(np.array([omega, -omega]))
+        assert np.all(np.abs(got - [want, want.conjugate()])
+                      <= 5e-16 * abs(want)), ratio
+
+
+def test_residual_series_survives_the_largest_sigma():
+    # the series' eleven derivatives come from the kernel of unit sigma:
+    # at sigma = 1.3e47 the kernel's own tenth derivative overflows
+    kernel = DampingKernel(1e46, 10.0)
+    omega = kernel.sigma * np.array([40.0, 400.0])
+    got = damped._residual(kernel, omega)
+    want = damped.residual_spectrum(kernel, omega)
+    assert np.all(np.abs(got - want)
+                  <= 2.5e-15 * np.abs(kernel.sqrt_f_spectrum(omega)))
 
 
 def test_central_ratio_against_mpmath():

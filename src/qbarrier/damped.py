@@ -310,6 +310,8 @@ def amplitude_w_D_height_sweep(
     width: float,
     kernel: DampingKernel,
     omega_grid: np.ndarray,
+    *,
+    shared: dict | None = None,
 ) -> np.ndarray:
     """Suppressed amplitude at heights shifted by ``-hbar * omega`` for
     ``omega_grid == h * np.arange(-n, n + 1)``, h > 0, n > 0, or DomainError.
@@ -327,9 +329,13 @@ def amplitude_w_D_height_sweep(
     amplitudes go ``_SWEEP_BLOCK`` heights a call, so only the output, the
     FFT buffer and the residual transform span the grid, and no bit depends
     on the block.  In the clean limit the sweep degenerates to bare
-    samples.  It stays beside ``amplitude_w_D`` because a C_D curve needs
-    65,537 heights: about 3 min of certified points (2.5 ms each at
-    gamma 5e-3), 0.09 s of sweep on a 2-core machine.
+    samples.  ``shared``, a dict a caller keeps for one table, holds the
+    bare samples on the caller's grid, keyed by (epsilon, width, h, n):
+    a damped sweep puts them there, and a clean sweep on the same grid
+    returns them without evaluating a height.  It stays beside
+    ``amplitude_w_D`` because a C_D curve needs 65,537 heights: about 40 s
+    of certified points (0.6 ms each at gamma 5e-3), 0.05 s of sweep on a
+    2-core machine.
     """
     om = np.asarray(omega_grid, dtype=float)
     n = (om.size - 1) // 2
@@ -345,8 +351,11 @@ def amplitude_w_D_height_sweep(
     # the first block holds the largest |omega|, so it meets any overflow
     blocks = [np.s_[i:i + _SWEEP_BLOCK]
               for i in range(0, om.size, _SWEEP_BLOCK)]
+    key = ("bare", float(epsilon), float(width), step, n)
     out = np.zeros(om.shape, dtype=complex)
     if kernel.gamma == 0.0:
+        if shared is not None and key in shared:
+            return shared[key].copy()
         for b in blocks:
             out[b] = shifted(om[b])
         return out
@@ -371,6 +380,8 @@ def amplitude_w_D_height_sweep(
     for i in range(0, size, _SWEEP_BLOCK):
         j = np.arange(i, min(i + _SWEEP_BLOCK, size)) - (n + m)
         spec[i:i + j.size] = shifted(step * j)
+    if shared is not None and key not in shared:  # the caller's grid
+        shared[key] = spec[m:m + om.size].copy()
     np.fft.fft(spec, out=spec)
     spec *= np.fft.fft(g_res[::-1], spec.size)
     np.fft.ifft(spec, out=spec)

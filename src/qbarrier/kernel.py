@@ -178,25 +178,34 @@ class DampingKernel:
 
         Built from the even series of x/sinh(x), the exponential series of
         e^{gamma t}, and the square-root composition, all as exact
-        recurrences.
+        recurrences.  Raises DomainError where a derivative overflows, as
+        order 7 does at sigma 1e50 (order 4 stays finite there).
         """
         if order < 0 or order > 2 * len(_U_COEFFS) - 2:
             raise DomainError(f"order out of range, got {order!r}")
         sig = self.sigma
-        fk = np.zeros(order + 1)
-        for kk in range(order + 1):
-            acc = 0.0
-            for m in range(0, kk // 2 + 1):
-                acc += (_U_COEFFS[m] * sig ** (2 * m)
-                        * self.gamma ** (kk - 2 * m)
-                        / math.factorial(kk - 2 * m))
-            fk[kk] = acc
-        pk = np.zeros(order + 1)
-        pk[0] = 1.0
+        overflow = (f"derivatives of sqrt(f) to order {order} overflow at "
+                    f"sigma {sig:.6g}")
+        fk = []
+        try:
+            for kk in range(order + 1):
+                acc = 0.0
+                for m in range(0, kk // 2 + 1):
+                    acc += (_U_COEFFS[m] * sig ** (2 * m)
+                            * self.gamma ** (kk - 2 * m)
+                            / math.factorial(kk - 2 * m))
+                fk.append(acc)
+        except OverflowError:  # sig ** (2 m) on Python floats
+            raise DomainError(overflow) from None
+        # on Python floats, so that an overflow to inf or nan stays silent
+        pk = [1.0]
         for kk in range(1, order + 1):
             conv = sum(pk[j] * pk[kk - j] for j in range(1, kk))
-            pk[kk] = 0.5 * (fk[kk] - conv)
-        return pk * np.array([math.factorial(p) for p in range(order + 1)])
+            pk.append(0.5 * (fk[kk] - conv))
+        out = np.array([p * math.factorial(i) for i, p in enumerate(pk)])
+        if not np.all(np.isfinite(out)):
+            raise DomainError(overflow)
+        return out
 
     # -- spectrum of the exponential representation ---------------------
 

@@ -131,21 +131,27 @@ def _deviation(epsilon: float, width: float) -> tuple:
 
 def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
                    cutoff: float) -> SweepResult:
-    """Magnitude of the cumulative traversal amplitude on a time grid."""
+    """Magnitude of the cumulative traversal amplitude on a time grid.
+
+    Columns on one omega grid share bare samples, Filon tables and the
+    Si term through ``shared``, emptied on return.  The damped columns
+    run first, so the clean one finds their samples and no trig table is
+    held through a damped sweep."""
     gammas = _with_baseline(gammas)
+    labels = [gamma_label(g) for g in gammas]
     taus = np.asarray(taus, dtype=float)
     table = np.empty((taus.size, len(gammas)))
-    reasons = {}
-    for col, g in enumerate(gammas):
-        kernel = DampingKernel(g, cutoff)
-        _cell(table, np.s_[:, col], reasons, gamma_label(g),
-              lambda: np.abs(cumulative_amplitude(epsilon, width, kernel,
-                                                  taus).values))
+    reasons, shared = {}, {}
+    for col in [*range(1, len(gammas)), 0]:
+        kernel = DampingKernel(gammas[col], cutoff)
+        _cell(table, np.s_[:, col], reasons, labels[col],
+              lambda: np.abs(cumulative_amplitude(
+                  epsilon, width, kernel, taus, shared=shared).values))
+    shared.clear()
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
                   n_points=taus.size)
-    return SweepResult("cumulative", "tau_star", taus,
-                       [gamma_label(g) for g in gammas], table, params,
-                       reasons=reasons)
+    return SweepResult("cumulative", "tau_star", taus, labels, table, params,
+                       reasons={k: reasons[k] for k in labels if k in reasons})
 
 
 def run_distribution(width: float, epsilon: float, tau_lo: float,
@@ -169,7 +175,7 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
     for col, g in enumerate(gammas):
         def column():
             dist = base if g == 0.0 else distribution_F_D(
-                epsilon, width, DampingKernel(g, cutoff), grid=grid)
+                epsilon, width, DampingKernel(g, cutoff), grid=grid, base=base)
             return np.abs(dist.positive_values[idx])
         _cell(table, np.s_[:, col], reasons, gamma_label(g), column)
     params = dict(width=width, epsilon=epsilon, cutoff=cutoff, gammas=gammas,
@@ -217,11 +223,13 @@ def format_csv(result: SweepResult, *, timestamp: bool = True) -> str:
     if timestamp:
         lines.append(f"# generated={datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join([result.axis_name] + list(result.columns)))
-    for i in range(result.axis.size):
-        cells = [_fmt(result.axis[i])] + [
-            _fmt(result.table[i, j]) for j in range(result.table.shape[1])]
-        lines.append(",".join(cells))
+    lines += [",".join(map(_fmt, row)) for row in _rows(result)]
     return "\n".join(lines) + "\n"
+
+
+def _rows(result: SweepResult) -> list:
+    """Axis and table as rows of Python floats."""
+    return np.column_stack([result.axis, result.table]).tolist()
 
 
 def format_json(result: SweepResult, *, timestamp: bool = True) -> str:
@@ -236,12 +244,7 @@ def format_json(result: SweepResult, *, timestamp: bool = True) -> str:
     payload = {
         "params": params,
         "columns": [result.axis_name] + list(result.columns),
-        "rows": [
-            [clean(float(result.axis[i]))]
-            + [clean(float(result.table[i, j]))
-               for j in range(result.table.shape[1])]
-            for i in range(result.axis.size)
-        ],
+        "rows": [[clean(x) for x in row] for row in _rows(result)],
         "error_estimates": {
             label: [clean(float(e)) for e in errs]
             for label, errs in sorted(result.errors.items())

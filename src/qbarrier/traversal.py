@@ -174,20 +174,30 @@ def distribution_F(epsilon: float, width: float, *,
 
 
 def distribution_F_D(epsilon: float, width: float, kernel: DampingKernel, *,
-                     grid: SpectralGrid | None = None) -> TraversalDistribution:
+                     grid: SpectralGrid | None = None,
+                     base: TraversalDistribution | None = None
+                     ) -> TraversalDistribution:
     """Suppressed and renormalized traversal-time distribution.
 
     The renormalization constant is stored as ``suppression`` and must
     reproduce the ratio of suppressed to bare amplitude computed by the
     independent spectral route.  Raises WindowError once the kernel's
     decay rate reaches the window width, which then cannot resolve it.
+    ``base``, the bare distribution already made on ``grid``, saves making
+    it again; one from another grid or amplitude raises DomainError.
     """
     grid = grid or SpectralGrid()
     if kernel.decay_gap >= grid.window:
         raise WindowError(
             f"kernel decay rate {kernel.decay_gap:.6g} reaches the spectral "
             f"window {grid.window!r}; the window cannot resolve it")
-    base = distribution_F(epsilon, width, grid=grid)
+    if base is None:
+        base = distribution_F(epsilon, width, grid=grid)
+    elif (SpectralGrid(base.window, base.period) != grid
+          or base.suppression != 1.0
+          or base.amplitude != amplitude_w(float(epsilon), width)):
+        raise DomainError("base is not the bare distribution on this grid "
+                          "at this energy and width")
     weight = kernel.sqrt_f(np.abs(base.signed_times))
     weighted = weight * base.values
     s = complex(base.step * weighted.sum())
@@ -232,17 +242,23 @@ def mean_traversal_closed(epsilon: float, width: float) -> complex:
 
 def _derivative_step(epsilon: float, width: float) -> float:
     """``_DERIVATIVE_STEP``, or where it is smaller the power of two below
-    a hundredth of the internal phase scale per width: the phase turns
-    faster with the height on wide barriers, and a power of two keeps
-    ``1 +- h`` and ``1 +- h/2`` exact, down to 2^-51 and no further."""
+    r K^2 / width, K^2 = max(|epsilon - 1|, (pi / width)^2): the phase
+    turns faster with the height on wide barriers.  r = 0.01, or from
+    K width ~ 440 up 4 (u K width)^(1/5), u = 2^-52, where the r^4
+    truncation of the Richardson pass meets the phase's rounding u K width
+    over the step (4 measured up to width 3e11).  A power of two keeps
+    ``1 +- h`` and ``1 +- h/2`` exact; a scale below 2^-51 is refused."""
     phase = math.pi / max(width, 1e-150)  # squared without overflow
-    scale = 0.01 * max(abs(epsilon - 1.0), phase ** 2) / width
+    k2 = max(abs(epsilon - 1.0), phase ** 2)
+    scale = 0.01 * k2 / width
     if scale >= _DERIVATIVE_STEP:
         return _DERIVATIVE_STEP
     if not scale >= 2.0 ** -51:
         raise DomainError(f"the derivative route needs a height step below "
                           f"2**-51 at epsilon {epsilon}, width {width}")
-    return math.ldexp(0.5, math.frexp(scale)[1])
+    r = max(0.01, 4.0 * (2.0 ** -52 * math.sqrt(k2) * width) ** 0.2)
+    return math.ldexp(0.5, math.frexp(min(r * k2 / width,
+                                          _DERIVATIVE_STEP))[1])
 
 
 def mean_traversal_derivative(epsilon: float, width: float) -> complex:
@@ -287,6 +303,13 @@ def _half_pi_minus_si(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _filon_trig(block: np.ndarray, fine: np.ndarray,
+                coarse: np.ndarray) -> list:
+    """cos and sin of ``block * fine``, sin and cos of ``block * coarse``."""
+    inner, outer = block * fine, block * coarse
+    return [np.cos(inner), np.sin(inner), np.sin(outer), np.cos(outer)]
+
+
 @dataclass(frozen=True)
 class CumulativeResult:
     times: np.ndarray
@@ -301,6 +324,8 @@ def cumulative_amplitude(
     width: float,
     kernel: DampingKernel,
     times,
+    *,
+    shared: dict | None = None,
 ) -> CumulativeResult:
     """Cumulative traversal amplitude ``C_D`` on the requested times.
 
@@ -308,7 +333,10 @@ def cumulative_amplitude(
     the suppressed distribution.  The clean limit gives the cumulative of
     the bare distribution.  Raises DomainError for a negative or infinite
     time and WindowError when the kernel decays so slowly that the grid
-    would need more than 5e6 steps per side.
+    would need more than 5e6 steps per side.  ``shared``, a dict kept for
+    one table, lends later calls on the clean step's grid the bare samples
+    (see ``amplitude_w_D_height_sweep``) and, for the same times, pi/2 - Si
+    and the first row block's Filon tables; no bit depends on it.
     """
     taus = np.asarray(times, dtype=float)
     if not np.all((taus >= 0.0) & (taus < math.inf)):
@@ -327,8 +355,11 @@ def cumulative_amplitude(
     if not w_half * tau_max < math.inf:
         raise DomainError(f"time {tau_max!r} is too large: its phases overflow")
     grid = step * np.arange(-n_half, n_half + 1)
+    if step != _CUMULATIVE_MAX_STEP:
+        shared = None  # a finer step is one kernel's, which nothing shares
 
-    heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid)
+    heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid,
+                                         shared=shared)
     h0 = complex(heights[n_half])
     if abs(h0) < 1e-250:
         raise DegenerateSuppressionError(
@@ -355,21 +386,25 @@ def cumulative_amplitude(
     sums = np.empty((flat.size, 2))
     # row blocks keep each trig table within 2^18 elements, 29 rows or more
     rows = (1 << 18) // (2 * (span + count))
+    key = ("filon", step, n_half, flat.tobytes())
+    cache = {} if shared is None else shared
+    if key not in cache:
+        cache[key] = [_half_pi_minus_si(w_half * flat),
+                      *_filon_trig(flat[:rows, None], omegas[:span], coarse)]
+    si, *first = cache[key]
     for i0 in range(0, flat.size, rows):
-        block = flat[i0:i0 + rows, None]
-        inner, outer = block * omegas[:span], block * coarse
-        cos_part = (np.cos(inner) @ table).reshape(-1, 2, count)
-        sin_part = (np.sin(inner) @ table).reshape(-1, 2, count)
-        sums[i0:i0 + rows] = (
-            (cos_part * np.sin(outer)[:, None]).sum(axis=2)
-            + (sin_part * np.cos(outer)[:, None]).sum(axis=2))
+        trig = first if i0 == 0 else _filon_trig(
+            flat[i0:i0 + rows, None], omegas[:span], coarse)
+        cos_part = (trig[0] @ table).reshape(-1, 2, count)
+        sin_part = (trig[1] @ table).reshape(-1, 2, count)
+        sums[i0:i0 + rows] = ((cos_part * trig[2][:, None]).sum(axis=2)
+                              + (sin_part * trig[3][:, None]).sum(axis=2))
     edge = np.divide(odd[-1] * np.cos(w_half * flat)
                      * (1.0 - np.sinc(step * flat / math.pi)), flat,
                      out=np.zeros(flat.shape, dtype=complex), where=flat > 0.0)
     integrals = (step * np.sinc(0.5 * step * flat / math.pi) ** 2
                  * (sums[:, 0] + 1j * sums[:, 1]) - edge)
-    values = (1.0 + integrals / h0
-              - (2.0 / math.pi) * _half_pi_minus_si(w_half * flat))
+    values = 1.0 + integrals / h0 - (2.0 / math.pi) * si
     return CumulativeResult(
         times=taus, values=values.reshape(taus.shape),
         suppressed_amplitude=h0, step=step, halfwidth=w_half)

@@ -7,7 +7,8 @@ Each file is the stdout of ``python -m qbarrier ARGV --no-timestamp`` on
 this checkout's ``src``.  Run it only after ``--diff`` has shown the moves
 the change explains: the goldens freeze the new output byte for byte.
 ``--diff`` writes nothing; per golden it prints the cells that moved, the
-largest move and the header lines that changed.
+largest move and the header lines that changed, and it exits 1 when any
+cell, column or header line moved, 0 when none did.
 """
 
 import os
@@ -32,14 +33,15 @@ DAMPED = (
 )
 
 
-def diff(golden: str, old: str, new: str) -> str:
-    """One report line per golden, then each changed header line."""
+def diff(golden: str, old: str, new: str) -> tuple:
+    """One report line per golden, then each changed header line; and
+    whether anything moved."""
     old_head, new_head = ([ln for ln in text.splitlines() if ln.startswith("#")]
                           for text in (old, new))
     old_rows, new_rows = ([ln.split(",") for ln in text.splitlines()
                            if not ln.startswith("#")] for text in (old, new))
     if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
-        return f"{golden}: the table's shape changed"
+        return f"{golden}: the table's shape changed", True
     moves = [abs(float(b) - float(a))
              for ra, rb in zip(old_rows[1:], new_rows[1:])
              for a, b in zip(ra, rb) if a != b]
@@ -51,7 +53,7 @@ def diff(golden: str, old: str, new: str) -> str:
     lines += [f"  {a} -> {b}" for a, b in zip(old_head, new_head) if a != b]
     if len(old_head) != len(new_head):
         lines.append(f"  {len(old_head)} header lines -> {len(new_head)}")
-    return "\n".join(lines)
+    return "\n".join(lines), len(lines) > 1 or bool(moves)
 
 
 def main(argv: list) -> int:
@@ -59,6 +61,7 @@ def main(argv: list) -> int:
         sys.stderr.write("usage: make_goldens.py [--diff]\n")
         return 2
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    moved = False
     for _, golden, args in DAMPED:
         done = subprocess.run(
             [sys.executable, "-m", "qbarrier", *args, "--no-timestamp"],
@@ -67,11 +70,13 @@ def main(argv: list) -> int:
             sys.stderr.write(done.stderr.decode())
             return done.returncode
         if argv:
-            print(diff(golden, (HERE / golden).read_text(),
-                       done.stdout.decode()))
+            report, changed = diff(golden, (HERE / golden).read_text(),
+                                   done.stdout.decode())
+            print(report)
+            moved = moved or changed
         else:
             (HERE / golden).write_bytes(done.stdout)
-    return 0
+    return int(moved)
 
 
 if __name__ == "__main__":

@@ -186,6 +186,34 @@ def test_taylor_sqrt_f_against_finite_differences():
     assert d2 == pytest.approx(taylor[2], rel=5e-4)
 
 
+def test_taylor_sqrt_f_refuses_an_order_that_overflows():
+    # sig ** (2 m) on Python floats raised a bare OverflowError at sigma
+    # 1.3e47, inside the sigma <= 1e50 the constructor admits
+    kernel = DampingKernel(1e46, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError,
+                           match=r"order 10 overflow at sigma 1\.27716e\+47"):
+            kernel.taylor_sqrt_f(10)
+
+
+def test_taylor_sqrt_f_builds_the_ladder_order_at_the_largest_sigma():
+    # order 4, the subtraction ladder's, stays finite at sigma = 1e50;
+    # order 7 is the first to overflow there
+    kernel = DampingKernel(1e50 / math.hypot(1.0, 40.0 / math.pi), 10.0)
+    assert kernel.sigma <= 1e50
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taylor = kernel.taylor_sqrt_f(4)
+        assert np.all(np.isfinite(taylor))
+        assert taylor[4] == pytest.approx(
+            kernel.gamma ** 4 / 16.0 - kernel.gamma ** 2 * kernel.sigma ** 2
+            / 4.0 + 3.0 * kernel.sigma ** 4 / 20.0, rel=1e-13)
+        assert np.isfinite(damped.subtraction_ladder(kernel).mismatch)
+        with pytest.raises(DomainError, match="order 7 overflow"):
+            kernel.taylor_sqrt_f(7)
+
+
 def test_series_coefficients():
     amps, rates = series_coefficients(STD, 4)
     np.testing.assert_allclose(amps, [1.0, 0.5, 0.375, 0.3125], rtol=1e-15)

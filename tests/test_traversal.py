@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from qbarrier import traversal
+from qbarrier import damped, sweep, traversal
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
                              subtraction_ladder)
 from qbarrier.errors import DomainError, NonConvergenceError, WindowError
@@ -179,6 +179,26 @@ def test_mean_derivative_route_holds_on_wide_barriers(width):
         closed = mean_traversal_closed(float(e), width)
         deriv = mean_traversal_derivative(float(e), width)
         assert abs(deriv - closed) <= 1e-8 * abs(closed), e
+
+
+@pytest.mark.parametrize("width, bound, midpoints", [
+    (1e10, 2.5e-4, False), (3e11, 5e-3, False),
+    (3e10, 2e-3, True), (1e11, 3e-3, True)],
+    ids=["1e10", "3e11", "3e10-midpoints", "1e11-midpoints"])
+def test_mean_derivative_route_balances_truncation_and_rounding(width, bound,
+                                                                midpoints):
+    # the phase kappa d rounds by about 2^-52 kappa d, which the route
+    # divides by its step; a step shrunk with 1/d alone left figure4's
+    # max_error_g0 at 8.7e-3 (1e10) and 0.19 (3e11), the balanced step
+    # at 1.3e-4 and 2.2e-3.  Its factor 4 was chosen on figure4's grid; at
+    # the grid's midpoints the worst gap is 5.4e-4 (3e10) and 8.5e-4
+    # (1e11), where the 1/d step left 7.9e-3 and 7.3e-2
+    eps = np.linspace(1.01, 5.0, 257)[1:]
+    if midpoints:
+        eps = 0.5 * (eps[:-1] + eps[1:])
+    gaps = [abs(mean_traversal_derivative(float(e), width)
+                - mean_traversal_closed(float(e), width)) for e in eps]
+    assert max(gaps) <= bound
 
 
 @pytest.mark.parametrize("width", [1e-160, 1e-300, sys.float_info.min])
@@ -476,9 +496,9 @@ def test_cumulative_does_not_depend_on_its_row_blocks(monkeypatch, gamma,
     sweep = traversal.amplitude_w_D_height_sweep
     heights = []
 
-    def sweep_once(*args):
+    def sweep_once(*args, **kwargs):
         if not heights:
-            heights.append(sweep(*args))
+            heights.append(sweep(*args, **kwargs))
         return heights[0]
 
     monkeypatch.setattr(traversal, "amplitude_w_D_height_sweep", sweep_once)
@@ -487,6 +507,115 @@ def test_cumulative_does_not_depend_on_its_row_blocks(monkeypatch, gamma,
              for i in range(0, taus.size, 20)]
     assert values[0] == alone[0] == 0.0
     assert np.max(np.abs(values[::20] - alone)) <= 1e-15
+
+
+def _capture(monkeypatch, module, name) -> list:
+    """(args, kwargs, result) of each call of ``module.name`` from now on."""
+    calls, original = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, original(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("gammas", [[5e-3], [1e-3, 5e-3], [5e-3, 1e-2]],
+                         ids=["figure5", "mixed-steps", "two-damped"])
+def test_run_cumulative_columns_equal_standalone_curves(monkeypatch, gammas):
+    # the columns on the clean step's grid (g0, 5e-3, 1e-2) share Filon
+    # tables and pi/2 - Si, and g0 takes the first damped sweep's bare
+    # samples and evaluates no height; 1e-3 needs a finer step and makes its
+    # own.  Each column keeps the bits of its own call, and the shared dict
+    # is empty once the runner returns
+    taus = np.linspace(0.0, 30.0, 301)
+    calls = _capture(monkeypatch, sweep, "cumulative_amplitude")
+    res = sweep.run_cumulative(5.0, 1.3, taus, gammas, 100.0)
+    assert res.columns == ["g0"] + [sweep.gamma_label(g) for g in gammas]
+    steps = {}
+    for args, kwargs, curve in calls:
+        assert kwargs["shared"] == {}
+        gamma = args[2].gamma
+        alone = cumulative_amplitude(1.3, 5.0, DampingKernel(gamma, 100.0),
+                                     taus)
+        assert curve.values.tobytes() == alone.values.tobytes()
+        assert curve.suppressed_amplitude == alone.suppressed_amplitude
+        column = res.table[:, res.params["gammas"].index(gamma)]
+        assert column.tobytes() == np.abs(alone.values).tobytes()
+        steps[gamma] = curve.step
+    assert sorted(steps) == [0.0, *gammas]
+    assert steps[5e-3] == steps[0.0] == steps.get(1e-2, 0.0125)
+    assert steps.get(1e-3, 0.0) != steps[0.0]
+
+
+def test_cumulative_shares_only_what_its_grid_and_times_match():
+    # one dict through calls on other times, another energy and a finer
+    # step: each takes only what was made for its own grid and times
+    shared, taus = {}, np.linspace(0.0, 30.0, 301)
+    calls = [(1.3, 5e-3, taus), (1.3, 0.0, taus[::2]), (1.4, 0.0, taus),
+             (1.3, 1e-3, taus), (1.3, 0.0, taus)]
+    for epsilon, gamma, times in calls:
+        kernel = DampingKernel(gamma, 100.0)
+        got = cumulative_amplitude(epsilon, 5.0, kernel, times, shared=shared)
+        alone = cumulative_amplitude(epsilon, 5.0, kernel, times)
+        assert got.values.tobytes() == alone.values.tobytes()
+    # the samples at 1.3 and the Filon tables of both time grids, which do
+    # not depend on the energy; the finer step of 1e-3 keeps nothing
+    assert len(shared) == 3
+
+
+def test_run_distribution_damped_columns_equal_standalone_calls(monkeypatch):
+    # the damped columns take the runner's bare distribution as their base
+    calls = _capture(monkeypatch, sweep, "distribution_F_D")
+    res = sweep.run_distribution(5.0, 1.3, 0.0, 30.0, 301, [1e-3, 5e-3],
+                                 100.0)
+    assert [args[2].gamma for args, _, _ in calls] == [1e-3, 5e-3]
+    for args, kwargs, dist in calls:
+        assert kwargs["base"].suppression == 1.0
+        alone = distribution_F_D(1.3, 5.0, args[2])
+        assert dist.values.tobytes() == alone.values.tobytes()
+        assert dist.suppression == alone.suppression
+        rows = np.rint(res.axis / alone.step).astype(int)
+        column = res.table[:, res.params["gammas"].index(args[2].gamma)]
+        assert column.tobytes() == np.abs(
+            alone.positive_values[rows]).tobytes()
+
+
+def test_figure5_shaped_tables_evaluate_each_bare_height_once(monkeypatch):
+    # the g0 curve reads the damped sweep's 65,537 real-axis samples and
+    # the damped distribution the runner's 16,384-sample bare one; before,
+    # both made their own (411,122 and 32,768 heights)
+    heights = []
+    for module in (damped, traversal):
+        original = module.amplitude_w_complex_height
+
+        def counting(epsilon, width, height, original=original):
+            heights.append(np.size(height))
+            return original(epsilon, width, height)
+
+        monkeypatch.setattr(module, "amplitude_w_complex_height", counting)
+    sweep.run_cumulative(5.0, 1.3, np.linspace(0.0, 30.0, 301), [5e-3],
+                         100.0)
+    cumulative = sum(heights)
+    sweep.run_distribution(5.0, 1.3, 0.0, 30.0, 301, [5e-3], 100.0)
+    assert cumulative == 411_122 - 65_537
+    assert sum(heights) - cumulative == 32_768 - 16_384
+
+
+def test_distribution_F_D_refuses_a_base_it_was_not_made_from():
+    base = distribution_F(1.3, 5.0)
+    same = distribution_F_D(1.3, 5.0, STD, base=base)
+    assert same.values.tobytes() == distribution_F_D(
+        1.3, 5.0, STD).values.tobytes()
+    for kwargs in (dict(grid=SpectralGrid(window=40.0), base=base),
+                   dict(grid=SpectralGrid(period=48.0), base=base),
+                   dict(base=distribution_F(1.3, 5.0,
+                                            grid=SpectralGrid(window=40.0))),
+                   dict(base=same),
+                   dict(base=distribution_F(1.4, 5.0))):
+        with pytest.raises(DomainError, match="not the bare distribution"):
+            distribution_F_D(1.3, 5.0, STD, **kwargs)
 
 
 def test_cumulative_keeps_the_shape_of_its_times():

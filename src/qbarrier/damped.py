@@ -334,8 +334,8 @@ def amplitude_w_D_height_sweep(
     a damped sweep puts them there, and a clean sweep on the same grid
     returns them without evaluating a height.  It stays beside
     ``amplitude_w_D`` because a C_D curve needs 65,537 heights: about 40 s
-    of certified points (0.6 ms each at gamma 5e-3), 0.05 s of sweep on a
-    2-core machine.
+    of certified points (0.6 ms each at gamma 5e-3), 0.03 s of sweep on a
+    2-core machine, 0.016 s of it the ladder's off-axis heights.
     """
     om = np.asarray(omega_grid, dtype=float)
     n = (om.size - 1) // 2

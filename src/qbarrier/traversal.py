@@ -247,18 +247,17 @@ def _derivative_step(epsilon: float, width: float) -> float:
     K width ~ 440 up 4 (u K width)^(1/5), u = 2^-52, where the r^4
     truncation of the Richardson pass meets the phase's rounding u K width
     over the step (4 measured up to width 3e11).  A power of two keeps
-    ``1 +- h`` and ``1 +- h/2`` exact; a scale below 2^-51 is refused."""
+    ``1 +- h`` and ``1 +- h/2`` exact; r K^2 / width below 2^-51 is refused."""
     phase = math.pi / max(width, 1e-150)  # squared without overflow
     k2 = max(abs(epsilon - 1.0), phase ** 2)
-    scale = 0.01 * k2 / width
-    if scale >= _DERIVATIVE_STEP:
+    if 0.01 * k2 / width >= _DERIVATIVE_STEP:
         return _DERIVATIVE_STEP
+    r = max(0.01, 4.0 * (2.0 ** -52 * math.sqrt(k2) * width) ** 0.2)
+    scale = min(r * k2 / width, _DERIVATIVE_STEP)
     if not scale >= 2.0 ** -51:
         raise DomainError(f"the derivative route needs a height step below "
                           f"2**-51 at epsilon {epsilon}, width {width}")
-    r = max(0.01, 4.0 * (2.0 ** -52 * math.sqrt(k2) * width) ** 0.2)
-    return math.ldexp(0.5, math.frexp(min(r * k2 / width,
-                                          _DERIVATIVE_STEP))[1])
+    return math.ldexp(0.5, math.frexp(scale)[1])
 
 
 def mean_traversal_derivative(epsilon: float, width: float) -> complex:

@@ -6,9 +6,9 @@
 Each file is the stdout of ``python -m qbarrier ARGV --no-timestamp`` on
 this checkout's ``src``.  Run it only after ``--diff`` has shown the moves
 the change explains: the goldens freeze the new output byte for byte.
-``--diff`` writes nothing; per golden it prints the cells that moved, the
-largest move and the header lines that changed, and it exits 1 when any
-cell, column or header line moved, 0 when none did.
+``--diff`` writes nothing; per golden, and per column of it, it prints the
+cells that moved and the largest move, then the header lines that changed,
+and it exits 1 when any cell, column or header line moved, 0 when none did.
 """
 
 import os
@@ -34,26 +34,31 @@ DAMPED = (
 
 
 def diff(golden: str, old: str, new: str) -> tuple:
-    """One report line per golden, then each changed header line; and
-    whether anything moved."""
+    """One report line per golden and per column, then each changed header
+    line; and whether anything moved."""
     old_head, new_head = ([ln for ln in text.splitlines() if ln.startswith("#")]
                           for text in (old, new))
     old_rows, new_rows = ([ln.split(",") for ln in text.splitlines()
                            if not ln.startswith("#")] for text in (old, new))
     if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
         return f"{golden}: the table's shape changed", True
-    moves = [abs(float(b) - float(a))
-             for ra, rb in zip(old_rows[1:], new_rows[1:])
-             for a, b in zip(ra, rb) if a != b]
+    columns = [[abs(float(b) - float(a)) for a, b in zip(ca, cb) if a != b]
+               for ca, cb in zip(zip(*old_rows[1:]), zip(*new_rows[1:]))]
+    moves = sum(columns, [])
     lines = [f"{golden}: {len(moves)} of {sum(map(len, old_rows[1:]))} cells "
              f"moved, by at most {max(moves, default=0.0):.2g}"]
+    lines += [f"  {name}: {len(col)} of {len(old_rows) - 1} moved, by at most "
+              f"{max(col, default=0.0):.2g}"
+              for name, col in zip(old_rows[0], columns)]
+    changed = bool(moves)
     if old_rows[:1] != new_rows[:1]:
         lines.append(f"  columns {','.join(old_rows[0])} -> "
                      f"{','.join(new_rows[0])}")
-    lines += [f"  {a} -> {b}" for a, b in zip(old_head, new_head) if a != b]
+        changed = True
+    heads = [f"  {a} -> {b}" for a, b in zip(old_head, new_head) if a != b]
     if len(old_head) != len(new_head):
-        lines.append(f"  {len(old_head)} header lines -> {len(new_head)}")
-    return "\n".join(lines), len(lines) > 1 or bool(moves)
+        heads.append(f"  {len(old_head)} header lines -> {len(new_head)}")
+    return "\n".join(lines + heads), changed or bool(heads)
 
 
 def main(argv: list) -> int:

@@ -9,14 +9,17 @@ correctness statement available.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
+from qbarrier.barrier import (_branch_sqrt, _sinc_form, amplitude_w,
+                              amplitude_w_complex_height,
                               transfer_matrix_w, transmission_prob)
 from qbarrier.errors import (DomainError, NonConvergenceError, PoleError)
+from qbarrier.kernel import DampingKernel
 from qbarrier.reference import (assemble_transmission_green, green_free,
                                 green_inside, green_left, green_right,
                                 reflection_series_w, transmission_from_green)
@@ -112,6 +115,67 @@ def test_complex_height_reduces_to_real():
     # transparent barrier: height 0 means free propagation
     assert amplitude_w_complex_height(2.0, 5.0, 0.0) == pytest.approx(
         1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [0.5, 5.0, 20.0])
+def test_path_form_at_ladder_heights_against_mpmath(width):
+    # heights 1 - 2 (omega + i s_j) / width on the ladder's rungs over the
+    # box, omega up to 1e-6 from the barrier top; by bands of |kappa width|,
+    # the worst relative error against 50-digit values is at most twice the
+    # sinc form's on the same points (without the |z| >= 1 guard the form
+    # missed by 5.5e-14 next to the top, where the sinc form met 4.7e-16)
+    heights = []
+    for gamma in (1e-6, 1e-3, 5.0):
+        for omega_c in (10.0, 1000.0):
+            rates = DampingKernel(gamma, omega_c).decay_gap * 2.0 ** np.arange(4)
+            for eps in (0.01, 1.3, 25.0):
+                top = 0.5 * width * (1.0 - eps)
+                for om in (top, top + 1e-6, top - 1e-6, top + 0.5, -30.0,
+                           0.0, 300.0):
+                    heights += [(eps, 1.0 - 2.0 * (om + 1j * s) / width)
+                                for s in rates]
+    eps, h = np.array(heights).T
+    eps = eps.real
+    k, ksq = np.sqrt(eps), eps - h
+    z = _branch_sqrt(ksq) * width
+    keep = z.imag <= 200.0  # beyond, sin and cos overflow
+    k, ksq, z, eps, h = k[keep], ksq[keep], z[keep], eps[keep], h[keep]
+    got = amplitude_w_complex_height(eps, width, h)
+    sinc = _sinc_form(k, ksq, z / width, z, width)
+    with mpmath.workdps(50):
+        want = []
+        for kk, q in zip(k, ksq):
+            kap = mpmath.sqrt(mpmath.mpc(q))
+            kd = kap * width
+            want.append(complex(
+                2j * kk * kap * mpmath.exp(-1j * kk * width)
+                / ((kk * kk + kap * kap) * mpmath.sin(kd)
+                   + 2j * kk * kap * mpmath.cos(kd))))
+    want = np.array(want)
+    err_got = np.abs(got - want) / np.abs(want)
+    err_sinc = np.abs(sinc - want) / np.abs(want)
+    assert np.any(got != sinc)  # the summed path form did run
+    for lo, hi in ((0.0, 1.0), (1.0, 10.0), (10.0, np.inf)):
+        band = (np.abs(z) >= lo) & (np.abs(z) < hi)
+        assert err_got[band].max() <= 2.0 * err_sinc[band].max(), (lo, hi)
+
+
+def test_mixed_heights_match_single_calls():
+    # real heights (above, at, below the top and deep) beside off-axis ones
+    # (|kappa width| below and above 1, and Im height > 0): each entry of a
+    # batch has the bytes of its own single-entry call.  A call on 0-d
+    # input runs numpy scalar arithmetic, whose complex products can round
+    # otherwise, so the single entries go as arrays of one
+    width = 5.0
+    heights = np.array([1.0, 1.3, 0.2, 5.0, 1e4, 1.3 - 1e-9j, 1.3 - 0.2j,
+                        0.7 - 3j, 1e4 - 1j, 1.3 + 0.2j, 0.2 + 1e-3j])
+    eps = np.array([[0.5], [1.3], [2.0]])
+    batch = amplitude_w_complex_height(eps, width, heights)
+    single = [[amplitude_w_complex_height(e, width, [x])[0]
+               for x in heights] for e in eps[:, 0]]
+    assert batch.tobytes() == np.array(single).tobytes()
+    assert amplitude_w_complex_height(1.3, width, heights).tobytes() == (
+        np.array(single[1]).tobytes())
 
 
 @settings(max_examples=200, deadline=None)

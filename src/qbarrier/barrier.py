@@ -70,9 +70,12 @@ def _csinc(z: np.ndarray) -> np.ndarray:
 
 def _w_from_ksq(k, ksq, width: float) -> np.ndarray:
     """Core amplitude for incident wave number ``k`` and internal
-    ``kappa**2 = ksq`` (complex allowed), both broadcastable."""
+    ``kappa**2 = ksq`` (complex allowed), both broadcastable; 0-d input runs
+    as an array of one, as numpy's scalar arithmetic rounds otherwise."""
     k = np.asarray(k, dtype=float)
     ksq = np.asarray(ksq, dtype=complex)
+    if k.ndim == ksq.ndim == 0:
+        return _w_from_ksq(k.reshape(1), ksq.reshape(1), width).reshape(())
     kappa = _branch_sqrt(ksq)
     z = kappa * width
     path, up = z.imag > _DEEP_IMAG, ksq.imag > 0.0

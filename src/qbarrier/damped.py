@@ -32,10 +32,9 @@ A weak table per kernel, shared by equal kernels, keeps the ladder, each
 tol's window and the residual interpolant both damped routes read:
 ``_CHEB_POINTS`` second-kind Chebyshev points on each panel [0, s0],
 [s0, 2 s0], ..., up to the one holding 40 sigma, each its own spectrum
-call, within 1.8e-15 |gtilde| of a direct call.  Past 40 sigma the residual
-is the ladder's large-omega series, within 2.2e-16 |gtilde| of a 30-digit
-sum where a direct call misses by 1.4e-15 (weak damping: 8 panels, not 21).
-w_D's error carries that share.
+call, within 1.8e-15 |gtilde| of a direct call.  From 40 sigma on, where
+the spectrum is its large-omega series, the residual is a direct call
+(weak damping: 8 panels, not 21).  w_D's error carries that share.
 """
 
 from __future__ import annotations
@@ -49,12 +48,10 @@ import numpy as np
 from .barrier import (amplitude_w, amplitude_w_complex_height,
                       check_height_shift)
 from .errors import DegenerateKernelError, DomainError, NonConvergenceError
-from .kernel import DampingKernel
+from .kernel import _SERIES_SIGMAS, DampingKernel, _real
 from .quadrature import integrate_adaptive
 
 _LADDER_ORDER = 4
-# from this many sigma on, the residual spectrum is its large-omega series
-_SERIES_SIGMAS = 40.0
 # heights per bare-amplitude call of the height sweep, which bounds its
 # working set; no result depends on it
 _SWEEP_BLOCK = 1 << 13
@@ -73,7 +70,6 @@ class SubtractionLadder:
     rates: np.ndarray
     weights: np.ndarray
     mismatch: float  # of the first unmatched derivative, the residual scale
-    series: np.ndarray  # c_j of gtilde's large-omega series, see _residual
 
     def spectrum(self, omega) -> np.ndarray:
         """Transform of the ladder, ``sum_j a_j / (s_j + i omega)``."""
@@ -97,13 +93,8 @@ def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
         raise DegenerateKernelError(f"no subtraction ladder for decay gap "
                                     f"{kernel.decay_gap:.3e}: {exc}") from exc
     model = float(np.sum(weights * (-rates) ** _LADDER_ORDER).real)
-    # Watson: gtilde ~ sum_k sqrt(f)^(k)(0) / (i omega)^(k+1), k <= 10, made
-    # from the kernel of unit sigma, whose derivatives do not overflow
-    unit = DampingKernel(kernel.gamma / kernel.sigma, kernel.cutoff)
-    terms = np.resize([-1j, -1.0, 1j, 1.0], 11) * unit.taylor_sqrt_f(10)
-    series = np.append(terms, 0.0).reshape(6, 2).sum(1) / kernel.sigma
     return SubtractionLadder(rates, weights,
-                             abs(float(taylor[_LADDER_ORDER]) - model), series)
+                             abs(float(taylor[_LADDER_ORDER]) - model))
 
 
 def _table(kernel: DampingKernel) -> list:
@@ -117,29 +108,25 @@ def _table(kernel: DampingKernel) -> list:
 
 
 def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
-    """Kernel spectrum minus its ladder's spectrum; decays like omega^-5."""
-    return kernel.sqrt_f_spectrum(omega) - _table(kernel)[0].spectrum(omega)
+    """Kernel spectrum less its ladder's, decaying like omega^-5; made at
+    |omega| and conjugated for omega < 0, so -0 mirrors a cancelled +0."""
+    flat = _real(omega, "spectral frequencies")
+    x = np.abs(flat)
+    out = np.asarray(kernel.sqrt_f_spectrum(x) - _table(kernel)[0].spectrum(x))
+    return np.conjugate(out, out=out, where=flat < 0.0)[()]
 
 
 def _residual(kernel: DampingKernel, omega) -> np.ndarray:
     """``residual_spectrum`` at real ``omega``, conjugated for omega < 0:
-    ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, then u (u Re C + i Im C),
-    C = sum_j c_j u^2j in u = sigma/omega, less the ladder's spectrum."""
+    ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, then a direct call."""
     entry, flat = _table(kernel), np.asarray(omega, dtype=float).ravel()
     x, out = np.abs(flat), np.empty(flat.shape, dtype=complex)
     far = x >= _SERIES_SIGMAS * kernel.sigma
-    count, ladder = np.count_nonzero(far), entry[0]
     with np.errstate(all="ignore"):
-        if count < x.size:
-            out[~far] = _interpolated(kernel, entry, x[~far] if count else x)
-        if count:
-            xf = x[far] if count < x.size else x
-            u = kernel.sigma / xf
-            v, acc = u * u + 0j, ladder.series[-1]
-            for c in ladder.series[-2::-1]:
-                acc = acc * v + c
-            acc.real *= u
-            out[far] = acc * u - ladder.spectrum(xf)
+        if not far.all():
+            out[~far] = _interpolated(kernel, entry, x[~far])
+        if far.any():
+            out[far] = residual_spectrum(kernel, x[far])
     np.conjugate(out, out=out, where=flat < 0.0)
     return out.reshape(np.shape(omega))
 
@@ -322,8 +309,8 @@ def amplitude_w_D_height_sweep(
     ``h * np.arange(-n - m, n + m + 1)``, whose middle is the caller's
     grid bit for bit, against the kernel's residual interpolant out to the
     half-width ``W = m h`` where its ``mismatch / omega^5`` envelope leaves a
-    tail below 1e-10, clamped to [40, 200] (figure5's kernel: 8 spectrum
-    calls on 256 nodes, not 8,951, then none).  Where the tail bound
+    tail below 1e-10, clamped to [40, 200] (figure5's kernel: 8 calls
+    summing 235 nodes, not 8,951, then none).  Where the tail bound
     ``max(mismatch, 1e-4) / (4 pi W^4)`` exceeds 1e-5 |H0|, H0 the value at
     omega = 0, it raises NonConvergenceError with H0 and the bound.  Bare
     amplitudes go ``_SWEEP_BLOCK`` heights a call, so only the output, the

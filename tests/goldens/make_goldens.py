@@ -8,7 +8,8 @@ this checkout's ``src``.  Run it only after ``--diff`` has shown the moves
 the change explains: the goldens freeze the new output byte for byte.
 ``--diff`` writes nothing; per golden, and per column of it, it prints the
 cells that moved and the largest move, then the header lines that changed,
-and it exits 1 when any cell, column or header line moved, 0 when none did.
+each numeric one with its relative move, and it exits 1 when any cell,
+column or header line moved, 0 when none did.
 """
 
 import os
@@ -33,6 +34,16 @@ DAMPED = (
 )
 
 
+def _relative_move(old: str, new: str) -> str:
+    """`` (relative move r)`` for header lines ``# key=number`` whose
+    nonzero number moved, else nothing."""
+    try:
+        was, now = (float(line.partition("=")[2]) for line in (old, new))
+    except ValueError:
+        return ""
+    return f" (relative move {abs(now - was) / abs(was):.2g})" if was else ""
+
+
 def diff(golden: str, old: str, new: str) -> tuple:
     """One report line per golden and per column, then each changed header
     line; and whether anything moved."""
@@ -55,7 +66,8 @@ def diff(golden: str, old: str, new: str) -> tuple:
         lines.append(f"  columns {','.join(old_rows[0])} -> "
                      f"{','.join(new_rows[0])}")
         changed = True
-    heads = [f"  {a} -> {b}" for a, b in zip(old_head, new_head) if a != b]
+    heads = [f"  {a} -> {b}{_relative_move(a, b)}"
+             for a, b in zip(old_head, new_head) if a != b]
     if len(old_head) != len(new_head):
         heads.append(f"  {len(old_head)} header lines -> {len(new_head)}")
     return "\n".join(lines + heads), changed or bool(heads)

@@ -163,9 +163,7 @@ def test_path_form_at_ladder_heights_against_mpmath(width):
 def test_mixed_heights_match_single_calls():
     # real heights (above, at, below the top and deep) beside off-axis ones
     # (|kappa width| below and above 1, and Im height > 0): each entry of a
-    # batch has the bytes of its own single-entry call.  A call on 0-d
-    # input runs numpy scalar arithmetic, whose complex products can round
-    # otherwise, so the single entries go as arrays of one
+    # batch has the bytes of its own single-entry call
     width = 5.0
     heights = np.array([1.0, 1.3, 0.2, 5.0, 1e4, 1.3 - 1e-9j, 1.3 - 0.2j,
                         0.7 - 3j, 1e4 - 1j, 1.3 + 0.2j, 0.2 + 1e-3j])
@@ -176,6 +174,22 @@ def test_mixed_heights_match_single_calls():
     assert batch.tobytes() == np.array(single).tobytes()
     assert amplitude_w_complex_height(1.3, width, heights).tobytes() == (
         np.array(single[1]).tobytes())
+
+
+def test_scalar_calls_match_batch_entries():
+    # a 0-d call runs as one entry of an array and so keeps a batch entry's
+    # bytes; numpy's scalar arithmetic rounded otherwise on about a tenth of
+    # these sub-barrier energies at width 300 and most of these heights
+    rng = np.random.default_rng(5)
+    eps = rng.uniform(0.01, 0.99, 1000)
+    scalar = [amplitude_w(e, 300.0) for e in eps.tolist()]
+    assert np.array(scalar).tobytes() == amplitude_w(eps, 300.0).tobytes()
+    heights = 1.0 - 0.4 * (rng.uniform(-50.0, 400.0, 1000)
+                           + 1j * rng.uniform(1e-3, 50.0, 1000))
+    scalar = [amplitude_w_complex_height(0.5, 5.0, h) for h in heights.tolist()]
+    assert np.array(scalar).tobytes() == (
+        amplitude_w_complex_height(0.5, 5.0, heights).tobytes())
+    assert isinstance(scalar[0], complex)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qbarrier import damped, quadrature
+from qbarrier import kernel as kernel_module
 from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
                               transmission_prob)
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
@@ -233,8 +234,8 @@ def test_weak_damping_continuity():
 
 
 def test_weak_damping_matches_factorized_route():
-    # gamma = 1e-5, Omega = 10 puts the spectrum's turnover |omega|/b near
-    # 1e5 terms, where the geometric panels carry the sum; the factorized
+    # gamma = 1e-5, Omega = 10 puts nearly all of the w_D window past 40
+    # sigma, where the spectrum is its large-omega series; the factorized
     # route of criterion 5 never calls the spectrum
     kernel = DampingKernel(1e-5, 10.0)
     spectral = amplitude_w_D(1.3, 5.0, kernel).value
@@ -437,7 +438,7 @@ def test_height_sweep_interpolates_its_residual_half_to_the_spectrum_floor(
         assert np.all(np.abs(got - want)
                       <= 2.5e-15 * np.abs(kernel.sqrt_f_spectrum(omega)))
     nodes, values = damped._table(kernel)[2:]
-    below = nodes < damped._SERIES_SIGMAS * kernel.sigma
+    below = nodes < kernel_module._SERIES_SIGMAS * kernel.sigma
     below[:, -1] = False
     assert np.array_equal(damped._residual(kernel, nodes[below]),
                           values[below])
@@ -445,75 +446,88 @@ def test_height_sweep_interpolates_its_residual_half_to_the_spectrum_floor(
                           np.conj(values[below]))
 
 
-def _spectrum_shapes(monkeypatch) -> list:
-    """The shapes of every ``sqrt_f_spectrum`` call from here on."""
-    shapes = []
+def _spectrum_calls(monkeypatch) -> list:
+    """(entries, summed entries) of every ``sqrt_f_spectrum`` call from here
+    on; entries from 40 sigma on take the large-omega series, not the sum."""
+    calls = []
     spectrum = DampingKernel.sqrt_f_spectrum
 
     def counted(self, omega):
-        shapes.append(np.shape(omega))
+        x = np.abs(np.asarray(omega))
+        calls.append((x.size, int(np.count_nonzero(
+            x < kernel_module._SERIES_SIGMAS * self.sigma))))
         return spectrum(self, omega)
 
     monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted)
-    return shapes
+    return calls
 
 
 def _panels_to(kernel, reach) -> int:
     """Panels [0, s0], [s0, 2 s0], ... needed to reach ``reach``, or the
     series threshold if that is lower."""
-    reach = min(reach, damped._SERIES_SIGMAS * kernel.sigma)
+    reach = min(reach, kernel_module._SERIES_SIGMAS * kernel.sigma)
     top, count = kernel.decay_gap, 1
     while top < reach:
         top, count = 2.0 * top, count + 1
     return count
 
 
+def _summing(calls) -> list:
+    """The entries of the calls that sum some of them."""
+    return [size for size, summed in calls if summed]
+
+
 def test_height_sweep_makes_one_spectrum_call_of_few_nodes(monkeypatch):
     # the figure5-shaped sweep's residual half spans 8,951 grid nodes, all
     # of which one spectrum call evaluated; on a fresh table the interpolant
-    # makes one 32-node call per panel, 10 of them, and a second sweep on
-    # the same kernel none
+    # makes one 32-node call per panel, 8 of them, and the nodes from 40
+    # sigma on one call of the series alone; a second sweep on the same
+    # kernel sums nothing
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
-    shapes = _spectrum_shapes(monkeypatch)
+    calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(5e-3, 100.0)
     grid = 0.0125 * np.arange(-32768, 32769)
     amplitude_w_D_height_sweep(1.3, 5.0, kernel, grid)
-    assert len(shapes) <= 12
-    assert sum(math.prod(shape) for shape in shapes) <= 400
-    shapes.clear()
+    assert _summing(calls) == [damped._CHEB_POINTS] * 8
+    assert sum(summed for _, summed in calls) <= 8 * damped._CHEB_POINTS
+    assert len(calls) == 9
+    calls.clear()
     amplitude_w_D_height_sweep(1.3, 5.0, kernel, grid)
-    assert shapes == []
+    assert len(calls) == 1 and _summing(calls) == []
 
 
 def test_w_D_reads_its_residual_from_panels_made_once(monkeypatch):
-    # the first w_D on a fresh table makes its 3-node window probe and one
-    # 32-node call per panel out to its window; later energies at the same
-    # tol make no spectrum call, where each made rows of its own
+    # the first w_D on a fresh table makes its 3-node window probe, here all
+    # series, and sums one 32-node call per panel out to its window; later
+    # energies at the same tol sum nothing, where each summed rows of its own
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
-    shapes = _spectrum_shapes(monkeypatch)
+    calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(5e-3, 100.0)
     count = _panels_to(kernel, amplitude_w_D(1.3, 5.0, kernel).cutoff)
-    assert shapes == [(3,)] + [(damped._CHEB_POINTS,)] * count
+    assert calls[0] == (3, 0)
+    assert _summing(calls) == [damped._CHEB_POINTS] * count
     assert len(damped._table(kernel)[2]) == count
-    shapes.clear()
+    calls.clear()
     for e in (0.5, 2.0, 4.0):
         amplitude_w_D(e, 5.0, kernel)
-    assert shapes == []
+    assert calls and _summing(calls) == []
 
 
 def test_weak_damping_kernel_makes_eight_panels(monkeypatch):
     # at gamma 1e-5, Omega 10 the w_D window reaches 250,000 sigma; the
     # interpolant stops at the panel holding 40 sigma, where the series
-    # takes over, so the first w_D makes its 3-node window probe and eight
-    # 32-node panel calls, where panels out to the window made 21
+    # takes over, so the first w_D makes its 3-node window probe, all
+    # series, and sums eight 32-node panel calls, where panels out to the
+    # window made 21
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
-    shapes = _spectrum_shapes(monkeypatch)
+    calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(1e-5, 10.0)
     assert amplitude_w_D(1.3, 5.0, kernel).cutoff > 2e5 * kernel.sigma
-    assert shapes == [(3,)] + [(damped._CHEB_POINTS,)] * 8
-    shapes.clear()
+    assert calls[0] == (3, 0)
+    assert _summing(calls) == [damped._CHEB_POINTS] * 8
+    calls.clear()
     amplitude_w_D(2.0, 5.0, kernel)
-    assert shapes == []
+    assert calls and _summing(calls) == []
 
 
 def test_residual_bits_do_not_depend_on_the_table_history(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbarrier import damped
+from qbarrier import kernel as kernel_module
 from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
 from qbarrier.kernel import DampingKernel, _central_ratio
 from qbarrier.reference import (MASS, peak_time, propagator_coefficients,
@@ -236,8 +237,8 @@ def test_series_requires_damping():
 
 
 def test_spectrum_rejects_nonfinite_omega():
-    # the tail panels are laid out to 3|omega|/b, which no infinite or
-    # nan frequency has
+    # an infinite or nan frequency is neither summed below 40 sigma nor a
+    # series term above it
     for bad in (math.inf, -math.inf, math.nan, [0.0, math.nan]):
         with pytest.raises(DomainError):
             STD.sqrt_f_spectrum(bad)
@@ -259,28 +260,21 @@ def test_kernel_refuses_complex_arguments(method, value):
 
 @pytest.mark.parametrize("gamma, cutoff", [
     (1e-5, 10.0), (5e-3, 100.0), (0.5, 1000.0)])
-def test_spectrum_rows_of_one_rule_keep_their_own_bits(gamma, cutoff):
-    # amplitude_w_D batches its residual rows by spectrum rule; each row of
-    # a block, chunk seams included, must be the bits of its own call.  The
-    # rows reach the third rule at every kernel, and at 1e-5/10 the rule
-    # changes six times inside amplitude_w_D's first window, 32
+def test_spectrum_entries_keep_their_own_bits(gamma, cutoff):
+    # one call whose summed entries span several chunks of the block and
+    # whose entries cross 40 sigma, both ways and at the switch itself:
+    # each entry has the bits of its own one-entry call
     kernel = DampingKernel(gamma, cutoff)
     rng = np.random.default_rng(21)
-    centre = max(32.0, 512.0 * kernel.sigma) * 10.0 ** rng.uniform(-5, 0, 1200)
-    centre *= rng.choice([-1.0, 1.0], 1200)
-    half = np.abs(centre) * rng.uniform(0.01, 0.3, 1200)
-    rows = centre[:, None] + half[:, None] * np.linspace(-1.0, 1.0, 15)
-    groups = {}
-    for row in rows:
-        groups.setdefault(kernel.spectrum_rule(np.max(np.abs(row))),
-                          []).append(row)
-    assert set(groups) >= {0, 1, 2}
-    # some block spans several chunks even at 8 MB ones (1489 nodes)
-    assert max(map(len, groups.values())) * 15 > 1500
-    for group in groups.values():
-        block = kernel.sqrt_f_spectrum(np.array(group))
-        for row, got in zip(group, block):
-            assert got.tobytes() == kernel.sqrt_f_spectrum(row).tobytes()
+    switch = kernel_module._SERIES_SIGMAS * kernel.sigma
+    omega = switch * 10.0 ** rng.uniform(-4, 3, 1200)
+    omega = np.append(omega, [0.0, switch, np.nextafter(switch, 0.0)])
+    omega *= rng.choice([-1.0, 1.0], omega.size)
+    summed = np.count_nonzero(np.abs(omega) < switch)
+    assert 3 * 186 < summed < omega.size  # chunks of 186 entries
+    single = [kernel.sqrt_f_spectrum(w) for w in omega.tolist()]
+    assert np.array(single).tobytes() == kernel.sqrt_f_spectrum(
+        omega).tobytes()
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 5e-3])
@@ -338,34 +332,35 @@ def test_spectrum_against_mpmath():
 
 
 @pytest.mark.parametrize("gamma, cutoff", [
-    (1e-5, 10.0), (5e-3, 100.0), (0.5, 1000.0)])
+    (1e-6, 10.0), (1e-6, 1000.0), (1e-5, 10.0), (5e-3, 100.0),
+    (0.5, 1000.0), (5.0, 1000.0), (5.0, 10.0)])
 def test_residual_series_against_mpmath(gamma, cutoff):
-    # from 40 sigma on, the residual is the ladder's large-omega series less
-    # the ladder's exact spectrum; the series meets the 30-digit sum within
-    # 2.2e-16 |gtilde|, where the direct spectrum misses by 1e-15 past 200
-    # sigma (the error depends only on omega/sigma and gamma/sigma, which
-    # these kernels span over Omega >= 10)
+    # from 40 sigma on, the spectrum, and so the residual, is the large-omega
+    # series; over the rate box's corners it meets the 30-digit sum within
+    # 2.2e-16 |gtilde| at both signs, where the summed spectrum missed by up
+    # to 1.6e-15 (the error depends only on omega/sigma and gamma/sigma)
     kernel = DampingKernel(gamma, cutoff)
-    ladder = damped.subtraction_ladder(kernel)
-    for ratio in (40.0, 200.0, 2000.0):
+    for ratio in (40.0, 200.0, 1e5):
         omega = ratio * kernel.sigma
-        assert omega >= damped._SERIES_SIGMAS * kernel.sigma
+        assert omega >= kernel_module._SERIES_SIGMAS * kernel.sigma
         want = _spectrum_mpmath(kernel, omega)
-        got = damped._residual(kernel, np.array([omega, -omega]))
-        got += ladder.spectrum(np.array([omega, -omega]))
+        got = kernel.sqrt_f_spectrum(np.array([omega, -omega]))
         assert np.all(np.abs(got - [want, want.conjugate()])
                       <= 5e-16 * abs(want)), ratio
 
 
 def test_residual_series_survives_the_largest_sigma():
     # the series' eleven derivatives come from the kernel of unit sigma:
-    # at sigma = 1.3e47 the kernel's own tenth derivative overflows
+    # at sigma = 1.3e47 the kernel's own tenth derivative overflows.  The
+    # kernel is the unit one with time scaled by sigma, so its spectrum is
+    # the unit kernel's at omega / sigma, divided by sigma
     kernel = DampingKernel(1e46, 10.0)
-    omega = kernel.sigma * np.array([40.0, 400.0])
-    got = damped._residual(kernel, omega)
-    want = damped.residual_spectrum(kernel, omega)
-    assert np.all(np.abs(got - want)
-                  <= 2.5e-15 * np.abs(kernel.sqrt_f_spectrum(omega)))
+    unit = DampingKernel(kernel.gamma / kernel.sigma, 10.0)
+    assert unit.sigma == 1.0
+    ratio = np.array([40.0, 400.0])
+    got = kernel.sqrt_f_spectrum(kernel.sigma * ratio)
+    want = unit.sqrt_f_spectrum(ratio) / kernel.sigma
+    assert np.all(np.abs(got - want) <= 2.5e-16 * np.abs(want))
 
 
 def test_central_ratio_against_mpmath():

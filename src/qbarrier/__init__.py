@@ -12,8 +12,8 @@ from .barrier import (amplitude_w, amplitude_w_complex_height,
                       transmission_prob)
 from .damped import amplitude_w_D
 from .errors import (DegenerateKernelError, DegenerateSuppressionError,
-                     DomainError, NonConvergenceError, PoleError,
-                     QBarrierError, WindowError)
+                     DomainError, NonConvergenceError, QBarrierError,
+                     WindowError)
 from .kernel import DampingKernel
 from .traversal import (SpectralGrid, cumulative_amplitude, distribution_F,
                         distribution_F_D, mean_traversal_closed,
@@ -26,7 +26,6 @@ __all__ = [
     "DegenerateSuppressionError",
     "DomainError",
     "NonConvergenceError",
-    "PoleError",
     "QBarrierError",
     "SpectralGrid",
     "WindowError",

@@ -26,7 +26,7 @@ lost a digit (2.3e-14 against 50-digit mpmath; the sinc form 6.3e-16).
 
 :func:`transfer_matrix_w` chains interface and propagation matrices, a
 cross-check that stays here because ``perfbench/workloads.py`` imports
-it from this module; the other routes live in :mod:`qbarrier.reference`.
+it from this module; the other routes live with the tests.
 
 ``w`` is also needed at complex barrier height (evaluations shifted by a
 complex energy); :func:`amplitude_w_complex_height` exposes that without

@@ -15,10 +15,6 @@ class DomainError(QBarrierError, ValueError):
     """An input lies outside the physical or numerical domain of a routine."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a non-removable singularity."""
-
-
 class DegenerateKernelError(DomainError):
     """Memory-kernel parameters degenerate (zero or negative rate scales)."""
 

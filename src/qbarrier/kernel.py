@@ -157,11 +157,12 @@ class DampingKernel:
             out = np.ones_like(t)
             return float(out) if out.ndim == 0 else out
         sig = self.sigma
-        tsafe = np.where(t > 0.0, t, 1.0)
-        # f = 2 sigma t e^{(gamma-sigma) t} / (1 - e^{-2 sigma t})
+        finite = np.isfinite(t)
+        tsafe = np.where((t > 0.0) & finite, t, 1.0)
+        # f = 2 sigma t e^{(gamma-sigma) t} / (1 - e^{-2 sigma t}), 0 at inf
         val = (2.0 * sig * tsafe * np.exp((self.gamma - sig) * tsafe)
                / (-np.expm1(-2.0 * sig * tsafe)))
-        out = np.where(t > 0.0, val, 1.0)
+        out = np.where(finite, np.where(t > 0.0, val, 1.0), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def sqrt_f(self, t):

@@ -25,10 +25,10 @@ def _fresh_interpreter(code: str) -> str:
 
 
 # One fresh interpreter imports the package, runs every subcommand and
-# three engine calls, then the reference peak; after each step it records
-# the scipy and thread-pool modules loaded so far
+# three engine calls; after each step it records the scipy and thread-pool
+# modules loaded so far, and at the end the package modules none loaded
 _FRESH_RUNS = """
-import json, os, sys
+import json, os, pkgutil, sys
 
 def heavy():
     return sorted(m for m in sys.modules if m == "scipy"
@@ -59,14 +59,9 @@ cumulative_amplitude(1.3, 5.0, kernel, np.linspace(0.0, 30.0, 301))
 report["heavy"]["cumulative_amplitude"] = heavy()
 run_distribution(5.0, 1.3, 0.0, 8.0, 50, [5e-3], 100.0)
 report["heavy"]["run_distribution"] = heavy()
-report["reference"] = "qbarrier.reference" in sys.modules
-report["public_from_reference"] = [
-    n for n in qbarrier.__all__
-    if getattr(getattr(qbarrier, n), "__module__", None) == "qbarrier.reference"]
-
-from qbarrier.reference import peak_time
-peak_time(kernel)
-report["peak_time_optimize"] = "scipy.optimize" in sys.modules
+report["unloaded"] = sorted(
+    name for _, name, _ in pkgutil.iter_modules(qbarrier.__path__, "qbarrier.")
+    if name not in sys.modules)
 print(json.dumps(report))
 """
 

@@ -4,8 +4,8 @@ Each function re-derives, by different algebra, a quantity the engines
 compute: the clean amplitude ``w`` as a reflection series and as an
 assembly of hard-wall propagators, the kernel ``f(t)`` from the
 influence coefficients, and ``sqrt(f)`` as its exponential series.
-Only the tests import this module; the package, its ``__init__`` and
-the command line never do.
+The package ships only what its runs use, so these routes live with
+the tests, which import this file as a plain module.
 """
 
 from __future__ import annotations
@@ -17,11 +17,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import _check_inputs
-from .errors import (DegenerateKernelError, DomainError, NonConvergenceError,
-                     PoleError)
-from .kernel import DampingKernel, _central_binomials
-from .units import wave_numbers
+from qbarrier.barrier import _check_inputs
+from qbarrier.errors import (DegenerateKernelError, DomainError,
+                             NonConvergenceError)
+from qbarrier.kernel import DampingKernel, _central_binomials
+from qbarrier.units import wave_numbers
+
+
+class PoleError(DomainError):
+    """Evaluation requested exactly at a non-removable singularity."""
+
 
 MASS = 0.5
 # round trips reflection_series_w sums before it gives up

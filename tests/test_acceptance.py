@@ -20,14 +20,15 @@ import pytest
 from qbarrier.barrier import amplitude_w, transfer_matrix_w, transmission_prob
 from qbarrier.damped import amplitude_w_D
 from qbarrier.kernel import DampingKernel
-from qbarrier.reference import (MASS, peak_time, propagator_coefficients,
-                                reflection_series_w)
 from qbarrier.sweep import format_csv, run_transmission
 from qbarrier.traversal import (SpectralGrid, cumulative_amplitude,
                                 distribution_F, distribution_F_D,
                                 mean_traversal_closed,
                                 mean_traversal_derivative)
 from qbarrier.units import classical_crossing_time, resonance_energies
+
+from reference import (MASS, peak_time, propagator_coefficients,
+                       reflection_series_w)
 
 WIDTH = 5.0
 CUTOFF = 100.0

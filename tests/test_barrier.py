@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from qbarrier.barrier import (_branch_sqrt, _sinc_form, amplitude_w,
                               amplitude_w_complex_height,
                               transfer_matrix_w, transmission_prob)
-from qbarrier.errors import (DomainError, NonConvergenceError, PoleError)
+from qbarrier.errors import DomainError, NonConvergenceError
 from qbarrier.kernel import DampingKernel
-from qbarrier.reference import (assemble_transmission_green, green_free,
-                                green_inside, green_left, green_right,
-                                reflection_series_w, transmission_from_green)
+
+from reference import (PoleError, assemble_transmission_green, green_free,
+                       green_inside, green_left, green_right,
+                       reflection_series_w, transmission_from_green)
 
 
 def test_transmission_frozen_value():

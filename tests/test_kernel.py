@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from qbarrier import damped
 from qbarrier import kernel as kernel_module
-from qbarrier.errors import (DegenerateKernelError, DomainError, PoleError)
+from qbarrier.errors import DegenerateKernelError, DomainError
 from qbarrier.kernel import DampingKernel, _central_ratio
-from qbarrier.reference import (MASS, peak_time, propagator_coefficients,
-                                series_coefficients, sqrt_f_series)
+
+from reference import (MASS, PoleError, peak_time, propagator_coefficients,
+                       series_coefficients, sqrt_f_series)
 
 STD = DampingKernel(5e-3, 100.0)
 
@@ -83,6 +84,22 @@ def test_f_clean_limit():
     assert clean.sqrt_f(17.3) == 1.0
 
 
+@pytest.mark.parametrize("gamma", [5e-3, 0.0])
+def test_f_takes_its_limit_at_infinite_time(gamma):
+    # t = inf passes the t >= 0 check; f decays like e^{-(sigma - gamma) t}
+    # for gamma > 0 and is 1 in the clean limit, and the finite entries
+    # beside it keep their bits
+    kernel = DampingKernel(gamma, 100.0)
+    limit = 0.0 if gamma > 0.0 else 1.0
+    finite = np.array([0.0, 0.7, 1e5])
+    t = np.append(finite, np.inf)
+    for fn in (kernel.f, kernel.sqrt_f):
+        assert fn(np.inf) == limit
+        vals = fn(t)
+        assert vals[-1] == limit
+        np.testing.assert_array_equal(vals[:-1], fn(finite))
+
+
 def test_f_rejects_negative_times():
     with pytest.raises(DomainError):
         STD.f(-0.1)
@@ -97,12 +114,6 @@ def test_peak_time_brackets_maximum():
     # the documented rise is second order in gamma/sigma
     assert f0 - 1.0 <= 2.0 * (STD.gamma / STD.sigma) ** 2
     assert peak_time(DampingKernel(0.0, 100.0)) == 0.0
-
-
-def test_peak_time_loads_no_scipy_optimize(fresh_runs):
-    # the peak is bisected in plain Python; the session's fresh interpreter
-    # calls it last and shows it pulled in no optimizer
-    assert fresh_runs["peak_time_optimize"] is False
 
 
 def test_f_strictly_decreasing_past_peak():

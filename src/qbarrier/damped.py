@@ -34,7 +34,7 @@ tol's window and the residual interpolant both damped routes read:
 [s0, 2 s0], ..., up to the one holding 40 sigma, each its own spectrum
 call, within 1.8e-15 |gtilde| of a direct call.  From 40 sigma on, where
 the spectrum is its large-omega series, the residual is a direct call
-(weak damping: 8 panels, not 21).  w_D's error carries that share.
+(weak damping: 8 panels).  w_D's error carries that share.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def amplitude_w_D_height_sweep(
     grid bit for bit, against the kernel's residual interpolant out to the
     half-width ``W = m h`` where its ``mismatch / omega^5`` envelope leaves a
     tail below 1e-10, clamped to [40, 200] (figure5's kernel: 8 calls
-    summing 235 nodes, not 8,951, then none).  Where the tail bound
+    summing 235 nodes, then none).  Where the tail bound
     ``max(mismatch, 1e-4) / (4 pi W^4)`` exceeds 1e-5 |H0|, H0 the value at
     omega = 0, it raises NonConvergenceError with H0 and the bound.  Bare
     amplitudes go ``_SWEEP_BLOCK`` heights a call, so only the output, the

@@ -133,10 +133,10 @@ def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
                    cutoff: float) -> SweepResult:
     """Magnitude of the cumulative traversal amplitude on a time grid.
 
-    Columns on one omega grid share bare samples, Filon tables and the
-    Si term through ``shared``, emptied on return.  The damped columns
-    run first, so the clean one finds their samples and no trig table is
-    held through a damped sweep."""
+    Columns on one omega grid share bare samples and trig tables through
+    ``shared``, emptied on return.  The damped columns run first, so the
+    clean one finds their samples and no trig table is held through a
+    damped sweep."""
     gammas = _with_baseline(gammas)
     labels = [gamma_label(g) for g in gammas]
     taus = np.asarray(taus, dtype=float)

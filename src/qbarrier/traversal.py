@@ -30,11 +30,20 @@ The cumulative suppressed amplitude uses the causal sine-kernel form
     C_D(tau) = (1 / (pi H0)) \int H(w) sin(w tau) / w dw,
 
 ``H(w)`` being the suppressed amplitude at height ``V0 - hbar w`` and
-``H0 = H(0)`` the suppressed amplitude itself.  ``H0`` goes through the
-sine integral exactly.  Of the remainder ``(H - H0) / (pi w)`` only the
-odd part counts, sin being odd; the linear Filon rule integrates it as
-one closed ``sinc^2``-weighted sum, exactly 0 at 0, whose ``N`` sines
-come by angle addition from about ``4 sqrt(N)`` per ``tau``.
+``H0 = H(0)`` the suppressed amplitude itself.  The trapezoid rule on
+``w_k = k h`` over ``[-W, W]``, half weight at the ends, integrates it
+once the Gaussian ``H0 exp(-w^2)`` is taken off ``H``: that part sums to
+``H0 erf(tau / 2)`` to the last bit (its aliases at ``2 pi / h`` vanish),
+and what is left is ``O(w)`` near 0, so the sums round like the remainder,
+not like ``H0 / w``.  The pair ``+-w_k`` gives
+``(H_k + H_-k - 2 H0 exp(-w_k^2)) sin(w_k tau) / (pi w_k)``, and ``C_D``
+is exactly 0 at 0.  Its ``N`` sines per ``tau`` come by angle addition
+from about ``4 sqrt(N)``.  The step error, the ``h^2`` endpoint term, is
+about ``(h tau)^2 / 12`` times the window-edge error
+``~ |H(W)| / (pi W tau |H0|)`` that truncating at ``W`` leaves, so the
+step is at most ``1 / tau_max``: the step error stays within about a
+twelfth of the edge error (1% at ``tau = 30`` on the default step), and
+past ``tau_max = 80`` the grid grows with ``tau_max``.
 """
 
 from __future__ import annotations
@@ -62,10 +71,6 @@ _CUMULATIVE_MAX_STEP = 0.0125
 # coarse height step of the derivative route to the mean traversal time,
 # shrunk on wide barriers (see _derivative_step)
 _DERIVATIVE_STEP = 1e-4
-# pi/2 - Si: series terms below x = 2 and continued-fraction depth from 2 up,
-# each converged to the last bit at x = 2 (the fraction by depth 90)
-_SI_SERIES_TERMS = 14
-_SI_FRACTION_DEPTH = 120
 
 
 @dataclass(frozen=True)
@@ -279,31 +284,7 @@ def mean_traversal_derivative(epsilon: float, width: float) -> complex:
     return complex((2.0j / width) * (4.0 * fine - coarse) / 3.0)
 
 
-def _half_pi_minus_si(x: np.ndarray) -> np.ndarray:
-    """pi/2 - Si(x) for x >= 0, within 3.1e-16 of 40-digit values.
-
-    Below 2 the power series of Si in Horner form, exactly pi/2 at 0.
-    From 2 up, -Im(e^{-ix} CF(ix)) with CF(z) = e^z E1(z) =
-    1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) summed backward from a
-    fixed depth: no cancellation against pi/2, and finite for any double.
-    """
-    out = np.empty(x.shape)
-    low = x < 2.0
-    t = x[low] ** 2
-    acc = np.zeros(t.shape)
-    for k in range(_SI_SERIES_TERMS - 1, -1, -1):
-        acc = acc * t + (-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1))
-    out[low] = 0.5 * math.pi - x[low] * acc
-    z = 1j * x[~low]
-    tail = np.zeros(z.shape, dtype=complex)
-    for k in range(_SI_FRACTION_DEPTH, 0, -1):
-        tail = -float(k * k) / (z + (2 * k + 1) + tail)
-    out[~low] = -(np.exp(-z) / (z + 1.0 + tail)).imag
-    return out
-
-
-def _filon_trig(block: np.ndarray, fine: np.ndarray,
-                coarse: np.ndarray) -> list:
+def _trig(block: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> list:
     """cos and sin of ``block * fine``, sin and cos of ``block * coarse``."""
     inner, outer = block * fine, block * coarse
     return [np.cos(inner), np.sin(inner), np.sin(outer), np.cos(outer)]
@@ -311,6 +292,13 @@ def _filon_trig(block: np.ndarray, fine: np.ndarray,
 
 @dataclass(frozen=True)
 class CumulativeResult:
+    """``C_D`` on the requested times, which lie in [0, 1 / step].
+
+    ``values`` has the shape of ``times``; ``suppressed_amplitude`` is
+    ``H0``, the sweep's sample at ``omega = 0``; ``step`` and ``halfwidth``
+    are the frequency step h and the half-width W of the trapezoid grid.
+    """
+
     times: np.ndarray
     values: np.ndarray
     suppressed_amplitude: complex
@@ -330,29 +318,38 @@ def cumulative_amplitude(
 
     Exactly 0 at ``tau = 0``, tends to 1, and its derivative reproduces
     the suppressed distribution.  The clean limit gives the cumulative of
-    the bare distribution.  Raises DomainError for a negative or infinite
-    time and WindowError when the kernel decays so slowly that the grid
-    would need more than 5e6 steps per side.  ``shared``, a dict kept for
-    one table, lends later calls on the clean step's grid the bare samples
-    (see ``amplitude_w_D_height_sweep``) and, for the same times, pi/2 - Si
-    and the first row block's Filon tables; no bit depends on it.
+    the bare distribution.  The step is at most 1 / tau_max.  Raises
+    DomainError for a negative or infinite time or one past 5e6 / W =
+    12,207, where that step would need more than 5e6 steps per side, and
+    WindowError when the kernel decays so slowly that the grid would.
+    ``shared``, a dict kept for one table, lends later calls on the clean
+    step's grid the bare samples (see ``amplitude_w_D_height_sweep``) and,
+    for the same times, the first row block's trig tables; no bit depends
+    on it.
     """
     taus = np.asarray(times, dtype=float)
     if not np.all((taus >= 0.0) & (taus < math.inf)):
         raise DomainError("cumulative times must be finite and nonnegative")
 
+    flat = taus.ravel()
+    # erf(tau / 2): the sum of the Gaussian H0 exp(-w^2) taken off H below,
+    # over H0
+    gauss = np.array([math.erf(0.5 * tau) for tau in flat])
+    tau_max = float(np.max(taus, initial=0.0))
+    if _CUMULATIVE_HALFWIDTH * tau_max > 5e6:
+        raise DomainError(f"time {tau_max!r} is too large: its frequency "
+                          "step 1/tau needs over 5e6 steps per side")
     step = _CUMULATIVE_MAX_STEP
     if kernel.gamma > 0.0:
         step = min(step, kernel.decay_gap / 25.0)
+    if tau_max * step > 1.0:  # keeps the step error below the edge error
+        step = 1.0 / tau_max
     per_side = _CUMULATIVE_HALFWIDTH / step
     if per_side > 5e6:
         raise WindowError(f"cumulative grid of {per_side:.3g} steps per "
                           "side is beyond reason")
     n_half = int(math.ceil(per_side))
     w_half = n_half * step
-    tau_max = float(np.max(taus, initial=0.0))
-    if not w_half * tau_max < math.inf:
-        raise DomainError(f"time {tau_max!r} is too large: its phases overflow")
     grid = step * np.arange(-n_half, n_half + 1)
     if step != _CUMULATIVE_MAX_STEP:
         shared = None  # a finer step is one kernel's, which nothing shares
@@ -364,46 +361,39 @@ def cumulative_amplitude(
         raise DegenerateSuppressionError(
             "suppressed amplitude vanished; cumulative undefined")
 
-    # psi = (H - H0) / (pi w) enters as its odd part d_k = psi_k - psi_{-k}
+    # the trapezoid rule on (H - H0 exp(-w^2)) sin(w tau) / (pi w): the pair
+    # +-w_k gives c_k sin(w_k tau), half weight at W, and w = 0 gives 0; the
+    # Gaussian adds erf(tau / 2) (module docstring).  By angle addition over
+    # w_k = (b L + j + 1) h, with L = ceil(sqrt(N)) (span) and b below
+    # B = ceil(N / L) (count), a tau needs sin and cos of (j + 1) h tau and
+    # b L h tau: 2 (L + B), not N; the sums over j are products with the
+    # zero-padded table[j, (re/im, b)]
     omegas = grid[n_half + 1:]
-    odd = (heights[n_half + 1:] + heights[n_half - 1::-1] - 2.0 * h0) / (
-        math.pi * omegas)
-    # linear Filon in closed form: the hat at w_k integrates to
-    # h sinc^2(tau h/2) sin(w_k tau); the half hat at W adds an edge term.
-    # By angle addition over w_k = (b L + j + 1) h, with L = ceil(sqrt(N))
-    # (span) and b below B = ceil(N / L) (count), a tau needs sin and cos of
-    # (j + 1) h tau and b L h tau: 2 (L + B), not N; the sums over j are
-    # products with the zero-padded table[j, (re/im, b)]
+    coeffs = heights[n_half + 1:] + heights[n_half - 1::-1]
+    coeffs -= 2.0 * h0 * np.exp(-omegas * omegas)
+    coeffs /= math.pi * omegas
     span = math.isqrt(n_half - 1) + 1
     count = -(-n_half // span)
     table = np.zeros((2, count * span))
-    table[:, :n_half] = odd.real, odd.imag
+    table[:, :n_half] = coeffs.real, coeffs.imag
     table[:, n_half - 1] *= 0.5
     table = table.reshape(2 * count, span).T
     coarse = step * (span * np.arange(count))
-    flat = taus.ravel()
     sums = np.empty((flat.size, 2))
     # row blocks keep each trig table within 2^18 elements, 29 rows or more
     rows = (1 << 18) // (2 * (span + count))
-    key = ("filon", step, n_half, flat.tobytes())
+    key = ("trig", step, n_half, flat.tobytes())
     cache = {} if shared is None else shared
     if key not in cache:
-        cache[key] = [_half_pi_minus_si(w_half * flat),
-                      *_filon_trig(flat[:rows, None], omegas[:span], coarse)]
-    si, *first = cache[key]
+        cache[key] = _trig(flat[:rows, None], omegas[:span], coarse)
     for i0 in range(0, flat.size, rows):
-        trig = first if i0 == 0 else _filon_trig(
+        trig = cache[key] if i0 == 0 else _trig(
             flat[i0:i0 + rows, None], omegas[:span], coarse)
         cos_part = (trig[0] @ table).reshape(-1, 2, count)
         sin_part = (trig[1] @ table).reshape(-1, 2, count)
         sums[i0:i0 + rows] = ((cos_part * trig[2][:, None]).sum(axis=2)
                               + (sin_part * trig[3][:, None]).sum(axis=2))
-    edge = np.divide(odd[-1] * np.cos(w_half * flat)
-                     * (1.0 - np.sinc(step * flat / math.pi)), flat,
-                     out=np.zeros(flat.shape, dtype=complex), where=flat > 0.0)
-    integrals = (step * np.sinc(0.5 * step * flat / math.pi) ** 2
-                 * (sums[:, 0] + 1j * sums[:, 1]) - edge)
-    values = 1.0 + integrals / h0 - (2.0 / math.pi) * si
+    values = step * (sums[:, 0] + 1j * sums[:, 1]) / h0 + gauss
     return CumulativeResult(
         times=taus, values=values.reshape(taus.shape),
         suppressed_amplitude=h0, step=step, halfwidth=w_half)

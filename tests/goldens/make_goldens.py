@@ -7,9 +7,10 @@ Each file is the stdout of ``python -m qbarrier ARGV --no-timestamp`` on
 this checkout's ``src``.  Run it only after ``--diff`` has shown the moves
 the change explains: the goldens freeze the new output byte for byte.
 ``--diff`` writes nothing; per golden, and per column of it, it prints the
-cells that moved and the largest move, then the header lines that changed,
-each numeric one with its relative move, and it exits 1 when any cell,
-column or header line moved, 0 when none did.
+cells that moved and the largest move with the axis value (tau or epsilon)
+of its row, then the header lines that changed, each numeric one with its
+relative move, and it exits 1 when any cell, column or header line moved, 0
+when none did.
 """
 
 import os
@@ -53,14 +54,21 @@ def diff(golden: str, old: str, new: str) -> tuple:
                            if not ln.startswith("#")] for text in (old, new))
     if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
         return f"{golden}: the table's shape changed", True
-    columns = [[abs(float(b) - float(a)) for a, b in zip(ca, cb) if a != b]
+    axis = [row[0] for row in new_rows[1:]]
+    # per column, (move, axis value of its row) of each cell that moved
+    columns = [[(abs(float(b) - float(a)), x)
+                for a, b, x in zip(ca, cb, axis) if a != b]
                for ca, cb in zip(zip(*old_rows[1:]), zip(*new_rows[1:]))]
-    moves = sum(columns, [])
+    moves = [move for col in columns for move, _ in col]
     lines = [f"{golden}: {len(moves)} of {sum(map(len, old_rows[1:]))} cells "
              f"moved, by at most {max(moves, default=0.0):.2g}"]
-    lines += [f"  {name}: {len(col)} of {len(old_rows) - 1} moved, by at most "
-              f"{max(col, default=0.0):.2g}"
-              for name, col in zip(old_rows[0], columns)]
+    for name, col in zip(old_rows[0], columns):
+        line = f"  {name}: {len(col)} of {len(old_rows) - 1} moved"
+        if col:
+            move, x = max(col)
+            line += (f", by at most {move:.2g} at {old_rows[0][0]} "
+                     f"{float(x):.6g}")
+        lines.append(line)
     changed = bool(moves)
     if old_rows[:1] != new_rows[:1]:
         lines.append(f"  columns {','.join(old_rows[0])} -> "

@@ -421,8 +421,8 @@ def test_cli_import_path_is_lean(fresh_runs):
 
 
 def test_cli_figure5_loads_no_scipy(fresh_runs):
-    # figure5 is the damped C_D curve: the height sweep with its FFT and
-    # the sine integral, both numpy-only, and the Filon sum on one thread
+    # figure5 is the damped C_D curve: the height sweep with its FFT,
+    # numpy-only, and the trapezoid sum on one thread
     assert fresh_runs["codes"]["figure5"] == 0
     assert fresh_runs["heavy"]["figure5"] == []
 
@@ -460,15 +460,34 @@ def test_cli_nonfinite_damping_fails_with_a_reason(capsys, argv):
 
 
 def test_cli_time_whose_phase_overflows_fails_with_a_reason(capsys):
-    # W tau overflows past tau ~ 4.4e305; each column fails with its reason
-    # before any numpy arithmetic can warn or write an unexplained nan
+    # tau = 1e307 would need a frequency step of 1e-307; each column fails
+    # with its reason before any numpy arithmetic can warn or write an
+    # unexplained nan
     argv = ["cumulative", "--tau-range", "0:1e307:2", "--no-timestamp"]
     assert main(argv) == 3
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == "qbarrier: 4 cell(s) failed and are written as nan"
     assert lines[1:] == [
         f"qbarrier: {label}: DomainError: time 1e+307 is too large: its "
-        "phases overflow" for label in ("g0", "g0.005")]
+        "frequency step 1/tau needs over 5e6 steps per side"
+        for label in ("g0", "g0.005")]
+
+
+def test_cli_cumulative_past_tau_80_refines_the_step(capsys):
+    # past tau = 80 the clean step 0.0125 gives way to 1 / tau_max, so out
+    # to tau 300, past the pi / 0.0125 = 251 where the sum on the default
+    # step would turn periodic, every column is computed and ends near 1;
+    # the finer step of gamma 1e-3 (2.5e-3) is kept
+    assert main(["cumulative", "--tau-range", "0:300:4", "--gamma-star",
+                 "1e-3", "--no-timestamp"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == ["tau_star", "g0", "g0.001"]
+    cells = np.array(rows[1:], dtype=float)
+    assert np.all(cells[0, 1:] == 0.0)
+    assert np.all(np.abs(cells[-1, 1:] - 1.0) < 1e-5)
+    assert captured.err == ""
 
 
 def test_cli_numerical_failure_exit_code(capsys):
@@ -553,8 +572,9 @@ def test_cli_width_whose_heights_overflow_fails_with_a_reason(
         assert all(f": DomainError: {reason}" in line for line in lines[1:])
 
 
-_DAMPED_GOLDENS = runpy.run_path(
-    str(Path(__file__).parent / "goldens" / "make_goldens.py"))["DAMPED"]
+_MAKE_GOLDENS = runpy.run_path(
+    str(Path(__file__).parent / "goldens" / "make_goldens.py"))
+_DAMPED_GOLDENS = _MAKE_GOLDENS["DAMPED"]
 
 
 @pytest.mark.parametrize("golden, argv",
@@ -562,12 +582,32 @@ _DAMPED_GOLDENS = runpy.run_path(
                          ids=[entry[0] for entry in _DAMPED_GOLDENS])
 def test_cli_damped_output_matches_its_golden(capsys, golden, argv):
     # w_D cells rest on the spectral panel layout and C_D cells on the
-    # height sweep and the angle-addition Filon sum; each golden is
+    # height sweep and the angle-addition trapezoid sum; each golden is
     # `python -m qbarrier ARGV --no-timestamp`, written by
     # tests/goldens/make_goldens.py, and pins them byte for byte
     assert main(argv + ["--no-timestamp"]) == 0
     expected = (Path(__file__).parent / "goldens" / golden).read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_make_goldens_diff_names_each_columns_largest_move():
+    # three rows: g0 moves in two of them, the larger move at tau 2; the
+    # header's width moves; an unchanged text reports nothing moved
+    old = ("# qbarrier cumulative sweep\n# width=5.0\n"
+           "tau_star,g0,g0.005\n0,0,0\n1,0.5,0.6\n2,0.9,0.95\n")
+    new = old.replace("5.0", "5.5").replace("0.5,", "0.50001,").replace(
+        "0.9,", "0.8998,")
+    report, moved = _MAKE_GOLDENS["diff"]("x.csv", old, new)
+    assert moved
+    assert report.splitlines() == [
+        "x.csv: 2 of 9 cells moved, by at most 0.0002",
+        "  tau_star: 0 of 3 moved",
+        "  g0: 2 of 3 moved, by at most 0.0002 at tau_star 2",
+        "  g0.005: 0 of 3 moved",
+        "  # width=5.0 -> # width=5.5 (relative move 0.1)"]
+    report, moved = _MAKE_GOLDENS["diff"]("x.csv", old, old)
+    assert not moved
+    assert report.splitlines()[0] == "x.csv: 0 of 9 cells moved, by at most 0"
 
 
 _BENCH_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"

@@ -7,22 +7,21 @@ import sys
 import tracemalloc
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.special import sici
 
 from qbarrier import damped, sweep, traversal
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
                              subtraction_ladder)
 from qbarrier.errors import DomainError, NonConvergenceError, WindowError
 from qbarrier.kernel import DampingKernel
-from qbarrier.traversal import (SpectralGrid, _half_pi_minus_si,
-                                cumulative_amplitude,
+from qbarrier.traversal import (SpectralGrid, cumulative_amplitude,
                                 distribution_F, distribution_F_D,
                                 mean_traversal_closed,
                                 mean_traversal_derivative)
 from qbarrier.units import classical_crossing_time, resonance_energies
+
+from reference import trapezoid_cumulative
 
 STD = DampingKernel(5e-3, 100.0)
 
@@ -328,58 +327,21 @@ def test_cumulative_clean_limit_matches_bare_distribution():
     assert np.max(np.abs(deriv - interp) / np.abs(interp)) < 0.08
 
 
-def _three_branch_cumulative(epsilon, width, kernel, taus, step, w_half):
-    """The earlier per-tau assembly of C_D, kept as a reference: exactly 0
-    at tau = 0, a plain trapezoid while w_half tau <= pi, and the
-    telescoped linear Filon sum beyond, on the same grid and heights."""
-    n_half = int(round(w_half / step))
-    grid = step * np.arange(-n_half, n_half + 1)
-    heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid)
-    h0 = complex(heights[n_half])
-    psi = np.empty_like(heights)
-    nonzero = grid != 0.0
-    psi[nonzero] = (heights[nonzero] - h0) / (math.pi * grid[nonzero])
-    psi[n_half] = (heights[n_half + 1] - heights[n_half - 1]) / (
-        2.0 * step * math.pi)
-    dpsi = np.diff(psi)
-    psi_edge_diff = psi[0] - psi[-1]
-    integrals = np.empty(taus.size, dtype=complex)
-    for idx, tau in enumerate(taus):
-        if tau == 0.0:
-            integrals[idx] = 0.0
-        elif w_half * tau <= math.pi:
-            vals = psi * np.sin(grid * tau)
-            integrals[idx] = step * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-        else:
-            sins = np.sin(grid * tau)
-            integrals[idx] = ((dpsi * np.diff(sins)).sum() / (tau * tau * step)
-                              + psi_edge_diff * math.cos(w_half * tau) / tau)
-    si_vals, _ = sici(w_half * taus)
-    return (1.0 + integrals / h0
-            - (2.0 / math.pi) * (0.5 * math.pi - si_vals))
-
-
-@pytest.mark.parametrize("gamma", [0.0, 5e-3])
+@pytest.mark.parametrize("gamma", [0.0, 5e-3, 0.05])
 @pytest.mark.parametrize("epsilon", [0.7, 1.3, 2.6])
-def test_cumulative_closed_filon_matches_three_branch_rule(gamma, epsilon):
-    # the closed sinc^2 sum is the same linear Filon integral as the
-    # telescoped sum; the earlier trapezoid below w_half tau = pi differs
-    # only by its own discretization error
+def test_cumulative_meets_the_quarter_step_trapezoid(epsilon, gamma):
+    # the same integral over [-W, W] at a quarter of the step, with the h^2
+    # endpoint term of each step taken off: what is left, the h^4 term and
+    # rounding, is at most 2.2e-9 (epsilon 0.7, gamma 0.05, tau 29), where
+    # the endpoint term itself, the sum's step error, is 9.9e-7
     kernel = DampingKernel(gamma, 100.0)
-    # five times up to pi / W, W = 409.6 being the grid's half-width here,
-    # and the whole set as one 2-D array
-    small = (math.pi / 409.6) * np.array([1e-3, 0.1, 0.5, 0.9, 1.0])
-    taus = np.concatenate([np.linspace(0.0, 30.0, 31), small]).reshape(6, 6)
+    taus = np.linspace(0.0, 30.0, 301)
     res = cumulative_amplitude(epsilon, 5.0, kernel, taus)
-    assert res.values.shape == taus.shape
-    flat, values = taus.ravel(), res.values.ravel()
-    ref = _three_branch_cumulative(epsilon, 5.0, kernel, flat, res.step,
-                                   res.halfwidth)
-    gap = np.abs(values - ref)
-    oscillating = res.halfwidth * flat > math.pi
-    assert np.all(values[flat == 0.0] == 0.0)
-    assert np.max(gap[oscillating]) <= 1e-12
-    assert np.max(gap[~oscillating]) <= 1e-8
+    ref = trapezoid_cumulative(epsilon, 5.0, kernel, taus, res.step / 4.0,
+                               res.halfwidth)
+    assert res.values[0] == 0.0
+    gap = res.values - res.step ** 2 * ref.endpoint - ref.values
+    assert np.max(np.abs(gap)) <= 5e-7
 
 
 def test_cumulative_input_validation():
@@ -416,7 +378,7 @@ def test_cumulative_refuses_a_residual_tail_above_1e_5_of_h0():
 
 def test_cumulative_working_set_stays_within_eight_grid_arrays():
     # the figure5-shaped call spans its 65,537-point grid with the sweep's
-    # output, FFT buffer and residual transform, the Filon sum's tables and
+    # output, FFT buffer and residual transform, the trapezoid sum's tables and
     # bare-amplitude blocks of fixed length: about 6.3 complex grid arrays
     # (6.6 MB) at its tracemalloc peak, where whole-grid evaluations of the
     # ladder and the extension peaked at 13.5
@@ -433,7 +395,7 @@ def test_cumulative_working_set_stays_within_eight_grid_arrays():
 
 
 def _long_double_cumulative(epsilon, width, kernel, taus, step, w_half):
-    """C_D by the same linear Filon rule on the same heights, one sine per
+    """C_D by the same trapezoid sum on the same heights, one sine per
     node, each phase tau w_k formed in long double as a number of turns and
     cut to its fraction, so that every sine is good to about 2e-16 however
     large tau w_k grows; the sums and the rest of the assembly in long
@@ -443,9 +405,9 @@ def _long_double_cumulative(epsilon, width, kernel, taus, step, w_half):
     grid = step * np.arange(-n_half, n_half + 1)
     heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid)
     h0 = complex(heights[n_half])
-    odd = (heights[n_half + 1:] + heights[n_half - 1::-1] - 2.0 * h0) / (
+    coeffs = (heights[n_half + 1:] + heights[n_half - 1::-1]) / (
         math.pi * grid[n_half + 1:])
-    coeffs = np.stack([odd.real, odd.imag]).astype(ld)
+    coeffs = np.stack([coeffs.real, coeffs.imag]).astype(ld)
     coeffs[:, -1] *= 0.5
     turn = 8 * np.arctan(ld(1))
     turns = np.arange(1, n_half + 1, dtype=ld) * (ld(step) / turn)
@@ -454,15 +416,8 @@ def _long_double_cumulative(epsilon, width, kernel, taus, step, w_half):
         phases = tau * turns
         phases -= phases.astype(np.int64)
         sums[i] = coeffs @ np.sin((turn * phases).astype(float)).astype(ld)
-    tau, x = taus.astype(ld), ld(0.5 * step) * taus.astype(ld)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinc2 = np.where(tau > 0, (np.sin(x) / x) ** 2, 1)
-        edge = np.where(tau > 0, np.cos(ld(w_half) * tau)
-                        * (1 - np.sin(2 * x) / (2 * x)) / tau, 0)
-    integrals = (ld(step) * sinc2 * (sums[:, 0] + 1j * sums[:, 1])
-                 - np.clongdouble(odd[-1]) * edge)
-    values = (1 + integrals / np.clongdouble(h0)
-              - (4 / turn) * _half_pi_minus_si(w_half * taus))
+    values = (ld(step) * (sums[:, 0] + 1j * sums[:, 1]) / np.clongdouble(h0)
+              + ld(step) * taus.astype(ld) * (2 / turn))
     return values.astype(complex)
 
 
@@ -470,10 +425,11 @@ def _long_double_cumulative(epsilon, width, kernel, taus, step, w_half):
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("gamma", [0.0, 5e-3, 1e-3])
 def test_cumulative_meets_the_long_double_filon_sum(gamma):
-    # the angle-addition sum rounds only B + L phases of size up to W tau
-    # per time, not N: on the figure5 grid it lies within 3e-15 (6.1e-15 at
-    # gamma 1e-3) of the long double rule, where one sine per node missed
-    # by up to 1.75e-14
+    # the id predates the trapezoid sum, which the reference now sums
+    # whole, with no Gaussian taken off.  The angle-addition sum rounds
+    # only B + L phases of size up to W tau per time, not N: on the figure5
+    # grid it lies within 5.9e-16 of the long double sum (9.5e-16 at gamma
+    # 1e-3)
     kernel = DampingKernel(gamma, 100.0)
     taus = np.linspace(0.0, 30.0, 301)
     res = cumulative_amplitude(1.3, 5.0, kernel, taus)
@@ -489,11 +445,11 @@ def test_cumulative_meets_the_long_double_filon_sum(gamma):
     ids=["figure5", "one-row-blocks"])
 def test_cumulative_does_not_depend_on_its_row_blocks(monkeypatch, gamma,
                                                       taus):
-    # where the Filon sum's row blocks fall could move the bits: the figure5
-    # grid is one block, 2001 times at gamma 1e-3 fill 13, the last one
-    # partial; every 20th time alone in a call (one row, one block) agrees
-    # to 1e-15.  All calls share epsilon, width and kernel, so one height
-    # sweep serves them all
+    # where the trapezoid sum's row blocks fall could move the bits: the
+    # figure5 grid is one block, 2001 times at gamma 1e-3 fill 13, the last
+    # one partial; every 20th time alone in a call (one row, one block)
+    # agrees to 1e-15.  All calls share epsilon, width and kernel, so one
+    # height sweep serves them all
     kernel = DampingKernel(gamma, 100.0)
     sweep = traversal.amplitude_w_D_height_sweep
     heights = []
@@ -526,11 +482,11 @@ def _capture(monkeypatch, module, name) -> list:
 @pytest.mark.parametrize("gammas", [[5e-3], [1e-3, 5e-3], [5e-3, 1e-2]],
                          ids=["figure5", "mixed-steps", "two-damped"])
 def test_run_cumulative_columns_equal_standalone_curves(monkeypatch, gammas):
-    # the columns on the clean step's grid (g0, 5e-3, 1e-2) share Filon
-    # tables and pi/2 - Si, and g0 takes the first damped sweep's bare
-    # samples and evaluates no height; 1e-3 needs a finer step and makes its
-    # own.  Each column keeps the bits of its own call, and the shared dict
-    # is empty once the runner returns
+    # the columns on the clean step's grid (g0, 5e-3, 1e-2) share trig
+    # tables, and g0 takes the first damped sweep's bare samples and
+    # evaluates no height; 1e-3 needs a finer step and makes its own.
+    # Each column keeps the bits of its own call, and the shared dict is
+    # empty once the runner returns
     taus = np.linspace(0.0, 30.0, 301)
     calls = _capture(monkeypatch, sweep, "cumulative_amplitude")
     res = sweep.run_cumulative(5.0, 1.3, taus, gammas, 100.0)
@@ -562,7 +518,7 @@ def test_cumulative_shares_only_what_its_grid_and_times_match():
         got = cumulative_amplitude(epsilon, 5.0, kernel, times, shared=shared)
         alone = cumulative_amplitude(epsilon, 5.0, kernel, times)
         assert got.values.tobytes() == alone.values.tobytes()
-    # the samples at 1.3 and the Filon tables of both time grids, which do
+    # the samples at 1.3 and the trig tables of both time grids, which do
     # not depend on the energy; the finer step of 1e-3 keeps nothing
     assert len(shared) == 3
 
@@ -633,45 +589,39 @@ def test_cumulative_keeps_the_shape_of_its_times():
 
 
 def test_cumulative_refuses_a_time_whose_phase_overflows():
-    # W tau overflows from tau ~ 4.4e305 at W = 409.6; refused before the
-    # height sweep, so no numpy warning and no nan
+    # the step is at most 1 / tau_max, so a time past 5e6 / W = 12,207
+    # would need over 5e6 steps per side; refused before the height sweep,
+    # so no numpy warning and no nan
     for kernel in (DampingKernel(0.0, 100.0), STD):
-        with pytest.raises(DomainError, match="time 1e[+]307 is too large"):
-            cumulative_amplitude(1.3, 5.0, kernel, [0.0, 1e307])
-    res = cumulative_amplitude(1.3, 5.0, STD, [4.3e305])
-    assert np.all(np.isfinite(res.values))
+        for tau in (1e307, 12208.0):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"time {tau!r} is too large: its frequency step 1/tau "
+                    "needs over 5e6 steps per side")):
+                cumulative_amplitude(1.3, 5.0, kernel, [0.0, tau])
 
 
-def test_half_pi_minus_si_matches_40_digits():
-    # 0 up to W tau = 409.6 * 30 = 12288, the largest of figure5, densely
-    # across the switch from series to continued fraction at 2 and past 4
-    xs = np.concatenate([np.linspace(0.0, 8.0, 401),
-                         np.geomspace(8.0, 12288.0, 200)[1:],
-                         np.nextafter(2.0, [0.0, 4.0]),
-                         np.nextafter(4.0, [0.0, 8.0])])
-    got = _half_pi_minus_si(xs)
-    with mpmath.workdps(40):
-        ref = np.array([float(mpmath.pi / 2 - mpmath.si(mpmath.mpf(x)))
-                        for x in xs])
-    assert got[0] == 0.5 * math.pi  # so that C_D(0) is exactly 0
-    assert np.max(np.abs(got - ref)) <= 1e-15
-
-
-def test_half_pi_minus_si_far_tail_is_finite():
-    # out to the largest double, which W tau reaches before the overflow
-    # guard of cumulative_amplitude: finite, silent, and inside the
-    # |cos x| / x envelope of the asymptotic series
-    xs = np.append(np.geomspace(1e6, 1e308, 399), sys.float_info.max)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _half_pi_minus_si(xs)
-    assert np.all(np.isfinite(got))
-    assert np.all(np.abs(got) <= 2.0 / xs)
+@pytest.mark.parametrize("gamma", [0.0, 5e-3])
+def test_cumulative_steps_at_most_one_over_its_latest_time(gamma):
+    # the step error is about (h tau)^2 / 12 of the window-edge error, so
+    # past tau = 80 the step shrinks from 0.0125 to 1 / tau_max.  Out to
+    # tau 300, past the pi / 0.0125 = 251 where the sum on the default step
+    # would turn periodic, it meets the quarter-step trapezoid once the
+    # endpoint terms are off (to 8.3e-10), and its step error is 4.9e-8
+    kernel = DampingKernel(gamma, 100.0)
+    taus = np.array([0.0, 100.0, 300.0])
+    res = cumulative_amplitude(1.3, 5.0, kernel, taus)
+    assert res.step == 1.0 / 300.0
+    ref = trapezoid_cumulative(1.3, 5.0, kernel, taus, res.step / 4.0,
+                               res.halfwidth)
+    gap = res.values - res.step ** 2 * ref.endpoint - ref.values
+    assert np.max(np.abs(gap)) <= 5e-7
+    assert np.max(np.abs(res.values - ref.values)) <= 2e-7
+    assert np.max(np.abs(res.values[1:] - 1.0)) < 1e-5
 
 
 def test_cumulative_and_distribution_load_no_scipy(fresh_runs):
-    # the damped C_D curve on the figure5 grid (height sweep, FFT, sine
-    # integral) and both traversal distributions run on numpy alone; the
+    # the damped C_D curve on the figure5 grid (height sweep, FFT,
+    # trapezoid sum) and both traversal distributions run on numpy alone; the
     # session's fresh interpreter lists what they loaded
     assert fresh_runs["heavy"]["cumulative_amplitude"] == []
     assert fresh_runs["heavy"]["run_distribution"] == []

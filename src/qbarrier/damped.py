@@ -47,7 +47,8 @@ import numpy as np
 
 from .barrier import (amplitude_w, amplitude_w_complex_height,
                       check_height_shift)
-from .errors import DegenerateKernelError, DomainError, NonConvergenceError
+from .errors import (DegenerateKernelError, DomainError, NonConvergenceError,
+                     WindowError)
 from .kernel import _SERIES_SIGMAS, DampingKernel, _real
 from .quadrature import integrate_adaptive
 
@@ -303,30 +304,28 @@ def amplitude_w_D_height_sweep(
     """Suppressed amplitude at heights shifted by ``-hbar * omega`` for
     ``omega_grid == h * np.arange(-n, n + 1)``, h > 0, n > 0, or DomainError.
 
-    This is the vectorized workhorse behind cumulative traversal curves:
-    the ladder part is a handful of closed evaluations per grid point and
-    the residual part one FFT convolution of bare samples on
-    ``h * np.arange(-n - m, n + m + 1)``, whose middle is the caller's
-    grid bit for bit, against the kernel's residual interpolant out to the
-    half-width ``W = m h`` where its ``mismatch / omega^5`` envelope leaves a
-    tail below 1e-10, clamped to [40, 200] (figure5's kernel: 8 calls
-    summing 235 nodes, then none).  Where the tail bound
-    ``max(mismatch, 1e-4) / (4 pi W^4)`` exceeds 1e-5 |H0|, H0 the value at
-    omega = 0, it raises NonConvergenceError with H0 and the bound.  Bare
+    The workhorse behind C_D, which needs 65,537 heights where a certified
+    point costs about 0.6 ms: the ladder part is a few closed evaluations a
+    point, the residual part one FFT correlation at the step h / p,
+    p = ceil(6 h / s0), s0 the decay gap, so the branch point at i s0
+    aliases by about e^{-12 pi}.  Its bare samples lie on ``h * (j / p)``,
+    |j| <= p n + m, every p-th the caller's grid bit for bit, and every p-th
+    output is kept.  The residual interpolant reaches ``W = m h / p``, where
+    its ``mismatch / omega^5`` envelope leaves a tail below 1e-10, clamped
+    to [40, 200].  p n + m past 5e6 raises WindowError, counted in floats
+    before any int or array of that size is made; a tail bound
+    ``max(mismatch, 1e-4) / (4 pi W^4)`` above 1e-5 |H0|, H0 the value at
+    omega = 0, raises NonConvergenceError with H0 and the bound.  Bare
     amplitudes go ``_SWEEP_BLOCK`` heights a call, so only the output, the
     FFT buffer and the residual transform span the grid, and no bit depends
-    on the block.  In the clean limit the sweep degenerates to bare
-    samples.  ``shared``, a dict a caller keeps for one table, holds the
-    bare samples on the caller's grid, keyed by (epsilon, width, h, n):
-    a damped sweep puts them there, and a clean sweep on the same grid
-    returns them without evaluating a height.  It stays beside
-    ``amplitude_w_D`` because a C_D curve needs 65,537 heights: about 40 s
-    of certified points (0.6 ms each at gamma 5e-3), 0.03 s of sweep on a
-    2-core machine, 0.016 s of it the ladder's off-axis heights.
+    on the block.  The clean limit is bare samples.  ``shared``, a dict kept
+    for one table, holds the bare samples on the caller's grid, keyed by
+    (epsilon, width, h, n): a damped sweep puts them there, and a clean
+    sweep on the same grid returns them without evaluating a height.
     """
     om = np.asarray(omega_grid, dtype=float)
     n = (om.size - 1) // 2
-    step = om.flat[n + 1] if n > 0 else 0.0
+    step = float(om.flat[n + 1]) if n > 0 else 0.0
     if not (step > 0.0 and np.array_equal(om, step * np.arange(-n, n + 1))):
         raise DomainError("omega_grid must be h * arange(-n, n+1), h, n > 0")
 
@@ -351,9 +350,14 @@ def amplitude_w_D_height_sweep(
     envelope = max(ladder.mismatch, 1e-4)
     resid_halfwidth = (envelope / (4.0 * math.pi * 1e-10)) ** 0.25
     resid_halfwidth = float(min(max(resid_halfwidth, 40.0), 200.0))
-    m = int(math.ceil(resid_halfwidth / step))
+    p = max(float(np.ceil(6.0 * step / kernel.decay_gap)), 1.0)
+    m = float(np.ceil(resid_halfwidth * p / step))
+    if p * n + m > 5e6:
+        raise WindowError(f"height sweep at decay gap {kernel.decay_gap:.3e} "
+                          f"needs {p * n + m:.3g} steps per side, over 5e6")
+    p, m = int(p), int(m)
     # omega >= 0, mirrored; made before the ladder blocks, RSS peaks lower
-    half = _residual(kernel, step * np.arange(m + 1))
+    half = _residual(kernel, step * (np.arange(m + 1) / p))
     g_res = np.concatenate([np.conj(half[:0:-1]), half])
     for b in blocks:
         for aj, sj in zip(ladder.weights, ladder.rates):
@@ -362,18 +366,18 @@ def amplitude_w_D_height_sweep(
     # correlation against the residual spectrum, out[i] = sum_j w(om_i + u_j) g(u_j),
     # as the "valid" part of a full linear convolution done by FFT; samples
     # are assigned, not added, into the zero padding: 0.0 + -0.0 is +0.0
-    size = om.size + 2 * m
+    size = 2 * (p * n + m) + 1
     spec = np.zeros(_next_fast_len(size + g_res.size - 1), dtype=complex)
     for i in range(0, size, _SWEEP_BLOCK):
-        j = np.arange(i, min(i + _SWEEP_BLOCK, size)) - (n + m)
-        spec[i:i + j.size] = shifted(step * j)
+        j = np.arange(i, min(i + _SWEEP_BLOCK, size)) - (p * n + m)
+        spec[i:i + j.size] = shifted(step * (j / p))
     if shared is not None and key not in shared:  # the caller's grid
-        shared[key] = spec[m:m + om.size].copy()
+        shared[key] = spec[m:size - m:p].copy()
     np.fft.fft(spec, out=spec)
     spec *= np.fft.fft(g_res[::-1], spec.size)
     np.fft.ifft(spec, out=spec)
-    valid = spec[g_res.size - 1:size]
-    valid *= step / (2.0 * math.pi)
+    valid = spec[g_res.size - 1:size:p]
+    valid *= step / p / (2.0 * math.pi)
     out += valid
 
     tail = envelope / (4.0 * math.pi * resid_halfwidth ** 4)

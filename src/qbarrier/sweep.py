@@ -133,10 +133,10 @@ def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
                    cutoff: float) -> SweepResult:
     """Magnitude of the cumulative traversal amplitude on a time grid.
 
-    Columns on one omega grid share bare samples and trig tables through
-    ``shared``, emptied on return.  The damped columns run first, so the
-    clean one finds their samples and no trig table is held through a
-    damped sweep."""
+    Every column sits on one omega grid, so the columns share bare samples
+    and trig tables through ``shared``, emptied on return.  The damped
+    columns run first, so the clean one finds their samples and no trig
+    table is held through a damped sweep."""
     gammas = _with_baseline(gammas)
     labels = [gamma_label(g) for g in gammas]
     taus = np.asarray(taus, dtype=float)
@@ -159,7 +159,9 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
                      cutoff: float) -> SweepResult:
     """Magnitude of the traversal distribution on its native transform
     grid, clipped to [tau_lo, tau_hi] and strided down to roughly
-    ``target_rows`` rows."""
+    ``target_rows`` rows.  Rows stop at T_p / 2, the grid's last positive
+    time (48 on the default grid); a range holding no grid time raises
+    DomainError."""
     if not 0.0 <= tau_lo < tau_hi:
         raise DomainError("need 0 <= tau_lo < tau_hi")
     gammas = _with_baseline(gammas)
@@ -168,6 +170,10 @@ def run_distribution(width: float, epsilon: float, tau_lo: float,
     times = base.positive_times
     keep = (times >= tau_lo) & (times <= tau_hi)
     idx = np.flatnonzero(keep)
+    if not idx.size:
+        raise DomainError(f"no time of the distribution grid (step "
+                          f"{grid.time_step:g}, last positive time "
+                          f"{times[-1]:g}) lies in [{tau_lo:g}, {tau_hi:g}]")
     stride = max(1, int(round(idx.size / max(target_rows, 2))))
     idx = idx[::stride]
     table = np.empty((idx.size, len(gammas)))

@@ -41,9 +41,10 @@ is exactly 0 at 0.  Its ``N`` sines per ``tau`` come by angle addition
 from about ``4 sqrt(N)``.  The step error, the ``h^2`` endpoint term, is
 about ``(h tau)^2 / 12`` times the window-edge error
 ``~ |H(W)| / (pi W tau |H0|)`` that truncating at ``W`` leaves, so the
-step is at most ``1 / tau_max``: the step error stays within about a
+step is ``1 / max(tau_max, 80)``: the step error stays within about a
 twelfth of the edge error (1% at ``tau = 30`` on the default step), and
-past ``tau_max = 80`` the grid grows with ``tau_max``.
+past ``tau_max = 80`` the grid grows with ``tau_max``.  The step follows
+the times alone; the height sweep picks its own step for the kernel.
 """
 
 from __future__ import annotations
@@ -64,10 +65,8 @@ from .units import wave_numbers
 
 # frequency range of the distribution transform, in window widths per side
 _SPAN_FACTOR = 8.0
-# spectral grid of the cumulative amplitude; the step is refined further
-# when the kernel's slowest decay rate needs finer sampling
+# half-width of the cumulative amplitude's spectral grid
 _CUMULATIVE_HALFWIDTH = 409.6
-_CUMULATIVE_MAX_STEP = 0.0125
 # coarse height step of the derivative route to the mean traversal time,
 # shrunk on wide barriers (see _derivative_step)
 _DERIVATIVE_STEP = 1e-4
@@ -318,14 +317,13 @@ def cumulative_amplitude(
 
     Exactly 0 at ``tau = 0``, tends to 1, and its derivative reproduces
     the suppressed distribution.  The clean limit gives the cumulative of
-    the bare distribution.  The step is at most 1 / tau_max.  Raises
-    DomainError for a negative or infinite time or one past 5e6 / W =
-    12,207, where that step would need more than 5e6 steps per side, and
-    WindowError when the kernel decays so slowly that the grid would.
-    ``shared``, a dict kept for one table, lends later calls on the clean
-    step's grid the bare samples (see ``amplitude_w_D_height_sweep``) and,
-    for the same times, the first row block's trig tables; no bit depends
-    on it.
+    the bare distribution.  The step is 1 / max(tau_max, 80), whatever
+    the kernel.  Raises DomainError for a negative or infinite time or one
+    past 5e6 / W = 12,207, where that step would need more than 5e6 steps
+    per side.  ``shared``, a dict kept for one table, lends later calls on
+    the grid the bare samples (see ``amplitude_w_D_height_sweep``, which
+    raises WindowError for a kernel too slow for it) and, for the same
+    times, the first row block's trig tables; no bit depends on it.
     """
     taus = np.asarray(times, dtype=float)
     if not np.all((taus >= 0.0) & (taus < math.inf)):
@@ -339,20 +337,11 @@ def cumulative_amplitude(
     if _CUMULATIVE_HALFWIDTH * tau_max > 5e6:
         raise DomainError(f"time {tau_max!r} is too large: its frequency "
                           "step 1/tau needs over 5e6 steps per side")
-    step = _CUMULATIVE_MAX_STEP
-    if kernel.gamma > 0.0:
-        step = min(step, kernel.decay_gap / 25.0)
-    if tau_max * step > 1.0:  # keeps the step error below the edge error
-        step = 1.0 / tau_max
-    per_side = _CUMULATIVE_HALFWIDTH / step
-    if per_side > 5e6:
-        raise WindowError(f"cumulative grid of {per_side:.3g} steps per "
-                          "side is beyond reason")
-    n_half = int(math.ceil(per_side))
+    # keeps the step error below the edge error; 1/80 is 0.0125 exactly
+    step = 1.0 / max(tau_max, 80.0)
+    n_half = int(math.ceil(_CUMULATIVE_HALFWIDTH / step))
     w_half = n_half * step
     grid = step * np.arange(-n_half, n_half + 1)
-    if step != _CUMULATIVE_MAX_STEP:
-        shared = None  # a finer step is one kernel's, which nothing shares
 
     heights = amplitude_w_D_height_sweep(epsilon, width, kernel, grid,
                                          shared=shared)

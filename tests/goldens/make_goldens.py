@@ -9,8 +9,9 @@ the change explains: the goldens freeze the new output byte for byte.
 ``--diff`` writes nothing; per golden, and per column of it, it prints the
 cells that moved and the largest move with the axis value (tau or epsilon)
 of its row, then the header lines that changed, each numeric one with its
-relative move, and it exits 1 when any cell, column or header line moved, 0
-when none did.
+relative move; a golden not on disk yet it reports as new with its row
+count.  It exits 1 when any cell, column or header line moved or a golden
+is new, 0 when none did.
 """
 
 import os
@@ -30,6 +31,8 @@ DAMPED = (
       "--omega-star", "10"]),
     ("cumulative", "cumulative_g1e-3.csv",
      ["cumulative", "--tau-range", "0:5:11", "--gamma-star", "1e-3"]),
+    ("refined-cumulative", "cumulative_g2e-4.csv",
+     ["cumulative", "--tau-range", "0:30:7", "--gamma-star", "2e-4"]),
     ("figure3", "figure3.csv", ["figure3"]),
     ("figure5", "figure5.csv", ["figure5"]),
 )
@@ -47,7 +50,11 @@ def _relative_move(old: str, new: str) -> str:
 
 def diff(golden: str, old: str, new: str) -> tuple:
     """One report line per golden and per column, then each changed header
-    line; and whether anything moved."""
+    line; and whether anything moved.  ``old`` None is a golden not yet on
+    disk, reported by its row count and counted as moved."""
+    if old is None:
+        rows = [ln for ln in new.splitlines() if not ln.startswith("#")]
+        return f"{golden}: new, {len(rows) - 1} rows", True
     old_head, new_head = ([ln for ln in text.splitlines() if ln.startswith("#")]
                           for text in (old, new))
     old_rows, new_rows = ([ln.split(",") for ln in text.splitlines()
@@ -95,8 +102,10 @@ def main(argv: list) -> int:
             sys.stderr.write(done.stderr.decode())
             return done.returncode
         if argv:
-            report, changed = diff(golden, (HERE / golden).read_text(),
-                                   done.stdout.decode())
+            path = HERE / golden
+            report, changed = diff(
+                golden, path.read_text() if path.exists() else None,
+                done.stdout.decode())
             print(report)
             moved = moved or changed
         else:

@@ -282,9 +282,9 @@ def test_cli_rejects_bad_tol(capsys):
 
 
 def test_cli_reports_failed_cells_on_stderr(capsys):
-    # weak damping needs a cumulative grid beyond reason, so the damped
-    # column fails as a whole; the table shows it only as nan and stderr
-    # must say so
+    # weak damping needs a height sweep correlating at h/1275, 4.59e7 steps
+    # per side, so the damped column fails as a whole; the table shows it
+    # only as nan and stderr must say so
     code = main(["cumulative", "--gamma-star", "1e-5", "--omega-star", "10",
                  "--tau-range", "0:3:4", "--no-timestamp"])
     assert code == 3
@@ -292,8 +292,8 @@ def test_cli_reports_failed_cells_on_stderr(capsys):
     assert "# failures=4" in captured.out
     assert captured.err == (
         "qbarrier: 4 cell(s) failed and are written as nan\n"
-        "qbarrier: g1e-05: WindowError: cumulative grid of 1.74e+08 steps "
-        "per side is beyond reason\n")
+        "qbarrier: g1e-05: WindowError: height sweep at decay gap 5.886e-05 "
+        "needs 4.59e+07 steps per side, over 5e6\n")
 
 
 def test_cli_refuses_a_cumulative_curve_its_residual_clamp_leaves_wrong(
@@ -477,7 +477,7 @@ def test_cli_cumulative_past_tau_80_refines_the_step(capsys):
     # past tau = 80 the clean step 0.0125 gives way to 1 / tau_max, so out
     # to tau 300, past the pi / 0.0125 = 251 where the sum on the default
     # step would turn periodic, every column is computed and ends near 1;
-    # the finer step of gamma 1e-3 (2.5e-3) is kept
+    # gamma 1e-3 runs on it too, its sweep correlating at a step of its own
     assert main(["cumulative", "--tau-range", "0:300:4", "--gamma-star",
                  "1e-3", "--no-timestamp"]) == 0
     captured = capsys.readouterr()
@@ -488,6 +488,18 @@ def test_cli_cumulative_past_tau_80_refines_the_step(capsys):
     assert np.all(cells[0, 1:] == 0.0)
     assert np.all(np.abs(cells[-1, 1:] - 1.0) < 1e-5)
     assert captured.err == ""
+
+
+def test_cli_traversal_with_no_grid_time_in_its_range_fails(capsys):
+    # the default grid's positive times stop at T_p / 2 = 48; a range past
+    # them printed only the header and exited 0
+    assert main(["traversal", "--tau-range", "50:60:5",
+                 "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "qbarrier: no time of the distribution grid (step 0.00585938, last "
+        "positive time 48) lies in [50, 60]\n")
 
 
 def test_cli_numerical_failure_exit_code(capsys):
@@ -608,6 +620,15 @@ def test_make_goldens_diff_names_each_columns_largest_move():
     report, moved = _MAKE_GOLDENS["diff"]("x.csv", old, old)
     assert not moved
     assert report.splitlines()[0] == "x.csv: 0 of 9 cells moved, by at most 0"
+
+
+def test_make_goldens_diff_reports_a_golden_not_on_disk_as_new():
+    # a golden added to DAMPED has no file yet; --diff read it and died
+    # with FileNotFoundError, now it names it with its rows and counts it
+    # as moved, so the run exits 1
+    new = "# qbarrier cumulative sweep\ntau_star,g0\n0,0\n1,0.5\n2,0.9\n"
+    assert _MAKE_GOLDENS["diff"]("x.csv", None, new) == ("x.csv: new, 3 rows",
+                                                         True)
 
 
 _BENCH_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"

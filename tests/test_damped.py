@@ -16,7 +16,7 @@ from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
 from qbarrier.damped import (amplitude_w_D, amplitude_w_D_height_sweep,
                              residual_spectrum, subtraction_ladder)
 from qbarrier.errors import (DegenerateKernelError, DomainError,
-                             NonConvergenceError)
+                             NonConvergenceError, WindowError)
 from qbarrier.kernel import DampingKernel
 from qbarrier.sweep import run_transmission
 from qbarrier.traversal import (SpectralGrid, cumulative_amplitude,
@@ -361,6 +361,36 @@ def test_height_sweep_fft_matches_direct_correlation():
     want = want + np.convolve(w_ext, g_res[::-1], mode="valid") * (
         0.05 / (2.0 * math.pi))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 5e-3])
+def test_height_sweep_resolves_its_kernel_on_coarse_grids(gamma):
+    # the sweep correlates at h/p, p = ceil(6 h / s0), and keeps every p-th
+    # output, so H0 meets w_D on any grid step: within 1.0e-12 (gamma 1e-3,
+    # p 2, 7 and 24) and 5.3e-12 (5e-3, p 1, 2 and 5) here.  Correlating at
+    # h itself it missed by 4.6e-3 at h 0.0654 and 0.12 at h 0.25 (1e-3),
+    # and by 6.0e-4 at h 0.25 (5e-3), with no flag
+    kernel = DampingKernel(gamma, 100.0)
+    ref = amplitude_w_D(1.3, 5.0, kernel, tol=1e-10).value
+    for h in (0.0125, 0.0654, 0.25):
+        n = round(409.6 / h)
+        got = amplitude_w_D_height_sweep(1.3, 5.0, kernel,
+                                         h * np.arange(-n, n + 1))
+        assert abs(got[n] - ref) <= 2e-11
+
+
+def test_height_sweep_refuses_a_correlation_beyond_reason():
+    # p n + m is counted in floats and refused past 5e6 steps per side
+    # before any integer or array of that size is formed: a decay gap of
+    # 5.9e-100 asks for p of 1.3e98, and a step of 1e307 for a 6 h / s0
+    # that overflows to inf, which an int would raise OverflowError on
+    weak = DampingKernel(1e-100, 10.0)
+    with pytest.raises(WindowError, match=r"^height sweep at decay gap "
+                       r"5\.886e-100 needs 4\.08e\+101 steps per side, "
+                       r"over 5e6$"):
+        amplitude_w_D_height_sweep(1.3, 5.0, weak, 0.0125 * np.arange(-3, 4))
+    with pytest.raises(WindowError, match="needs inf steps per side"):
+        amplitude_w_D_height_sweep(1.3, 5.0, STD, 1e307 * np.arange(-1, 2))
 
 
 def test_height_sweep_grid_validation():

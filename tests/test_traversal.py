@@ -327,13 +327,17 @@ def test_cumulative_clean_limit_matches_bare_distribution():
     assert np.max(np.abs(deriv - interp) / np.abs(interp)) < 0.08
 
 
-@pytest.mark.parametrize("gamma", [0.0, 5e-3, 0.05])
-@pytest.mark.parametrize("epsilon", [0.7, 1.3, 2.6])
+@pytest.mark.parametrize("epsilon, gamma", [
+    *((epsilon, gamma) for epsilon in (0.7, 1.3, 2.6)
+      for gamma in (0.0, 5e-3, 0.05)),
+    (1.3, 1e-3), (1.3, 2e-4)])
 def test_cumulative_meets_the_quarter_step_trapezoid(epsilon, gamma):
     # the same integral over [-W, W] at a quarter of the step, with the h^2
     # endpoint term of each step taken off: what is left, the h^4 term and
     # rounding, is at most 2.2e-9 (epsilon 0.7, gamma 0.05, tau 29), where
-    # the endpoint term itself, the sum's step error, is 9.9e-7
+    # the endpoint term itself, the sum's step error, is 9.9e-7.  gamma
+    # 1e-3 and 2e-4 run on the same step, their sweeps correlating at h/2
+    # and h/6 (the reference's at h/8 and h/12)
     kernel = DampingKernel(gamma, 100.0)
     taus = np.linspace(0.0, 30.0, 301)
     res = cumulative_amplitude(epsilon, 5.0, kernel, taus)
@@ -349,8 +353,8 @@ def test_cumulative_input_validation():
         cumulative_amplitude(1.3, 5.0, STD, np.array([-1.0, 2.0]))
     with pytest.raises(DomainError):
         cumulative_amplitude(1.3, 5.0, STD, [1.0, np.inf])
-    # weak damping refines the step to decay_gap / 25, which would need
-    # about 1.7e8 points per side here; refused before anything is built
+    # weak damping makes the height sweep correlate at h/1275, which would
+    # need 4.59e7 steps per side here; refused before anything is built
     with pytest.raises(WindowError):
         cumulative_amplitude(1.3, 5.0, DampingKernel(1e-5, 10.0), [1.0])
 
@@ -482,13 +486,22 @@ def _capture(monkeypatch, module, name) -> list:
 @pytest.mark.parametrize("gammas", [[5e-3], [1e-3, 5e-3], [5e-3, 1e-2]],
                          ids=["figure5", "mixed-steps", "two-damped"])
 def test_run_cumulative_columns_equal_standalone_curves(monkeypatch, gammas):
-    # the columns on the clean step's grid (g0, 5e-3, 1e-2) share trig
-    # tables, and g0 takes the first damped sweep's bare samples and
-    # evaluates no height; 1e-3 needs a finer step and makes its own.
+    # every column sits on the step 0.0125 and shares trig tables, and g0
+    # takes the first damped sweep's bare samples, which is the one of
+    # 1e-3 correlating at h/2 in mixed-steps, and evaluates no height.
     # Each column keeps the bits of its own call, and the shared dict is
     # empty once the runner returns
     taus = np.linspace(0.0, 30.0, 301)
     calls = _capture(monkeypatch, sweep, "cumulative_amplitude")
+    samples = {}  # gamma -> the bare-sample keys in shared before its sweep
+    height_sweep = traversal.amplitude_w_D_height_sweep
+
+    def recording(epsilon, width, kernel, grid, *, shared=None):
+        if shared is not None:  # the runner's call, not a standalone one
+            samples[kernel.gamma] = [k for k in shared if k[0] == "bare"]
+        return height_sweep(epsilon, width, kernel, grid, shared=shared)
+
+    monkeypatch.setattr(traversal, "amplitude_w_D_height_sweep", recording)
     res = sweep.run_cumulative(5.0, 1.3, taus, gammas, 100.0)
     assert res.columns == ["g0"] + [sweep.gamma_label(g) for g in gammas]
     steps = {}
@@ -503,13 +516,14 @@ def test_run_cumulative_columns_equal_standalone_curves(monkeypatch, gammas):
         assert column.tobytes() == np.abs(alone.values).tobytes()
         steps[gamma] = curve.step
     assert sorted(steps) == [0.0, *gammas]
-    assert steps[5e-3] == steps[0.0] == steps.get(1e-2, 0.0125)
-    assert steps.get(1e-3, 0.0) != steps[0.0]
+    assert set(steps.values()) == {0.0125}
+    assert samples[gammas[0]] == []
+    assert samples[0.0] == [("bare", 1.3, 5.0, 0.0125, 32768)]
 
 
 def test_cumulative_shares_only_what_its_grid_and_times_match():
-    # one dict through calls on other times, another energy and a finer
-    # step: each takes only what was made for its own grid and times
+    # one dict through calls on other times, another energy and a slower
+    # kernel: each takes only what was made for its own grid and times
     shared, taus = {}, np.linspace(0.0, 30.0, 301)
     calls = [(1.3, 5e-3, taus), (1.3, 0.0, taus[::2]), (1.4, 0.0, taus),
              (1.3, 1e-3, taus), (1.3, 0.0, taus)]
@@ -519,7 +533,7 @@ def test_cumulative_shares_only_what_its_grid_and_times_match():
         alone = cumulative_amplitude(epsilon, 5.0, kernel, times)
         assert got.values.tobytes() == alone.values.tobytes()
     # the samples at 1.3 and the trig tables of both time grids, which do
-    # not depend on the energy; the finer step of 1e-3 keeps nothing
+    # not depend on the energy; 1e-3, on the same step, finds both there
     assert len(shared) == 3
 
 

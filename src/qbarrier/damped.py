@@ -31,10 +31,12 @@ amplitude exactly.
 A weak table per kernel, shared by equal kernels, keeps the ladder, each
 tol's window and the residual interpolant both damped routes read:
 ``_CHEB_POINTS`` second-kind Chebyshev points on each panel [0, s0],
-[s0, 2 s0], ..., up to the one holding 40 sigma, each its own spectrum
-call, within 1.8e-15 |gtilde| of a direct call.  From 40 sigma on, where
-the spectrum is its large-omega series, the residual is a direct call
-(weak damping: 8 panels).  w_D's error carries that share.
+[s0, 2 s0], ..., up to the one holding 40 sigma, the panels a call lacks
+in one spectrum call, within 1.75e-15 |gtilde| of a direct call at eight
+kernels of the rate box.  From 40 sigma on, where the spectrum is its
+large-omega series, the residual is that series less the ladder, with
+the bits of a direct call (weak damping: 8 panels).  w_D's error carries
+that share.
 """
 
 from __future__ import annotations
@@ -119,30 +121,42 @@ def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
 
 def _residual(kernel: DampingKernel, omega) -> np.ndarray:
     """``residual_spectrum`` at real ``omega``, conjugated for omega < 0:
-    ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, then a direct call."""
+    ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, then the series less
+    the ladder, with the bits of a direct call."""
     entry, flat = _table(kernel), np.asarray(omega, dtype=float).ravel()
-    x, out = np.abs(flat), np.empty(flat.shape, dtype=complex)
+    x = np.abs(flat)
     far = x >= _SERIES_SIGMAS * kernel.sigma
     with np.errstate(all="ignore"):
-        if not far.all():
+        if far.all():  # rows past 40 sigma, as a direct call makes them
+            out = kernel._series_spectrum(x) - entry[0].spectrum(x)
+        else:
+            out = np.empty(flat.shape, dtype=complex)
             out[~far] = _interpolated(kernel, entry, x[~far])
-        if far.any():
-            out[far] = residual_spectrum(kernel, x[far])
+            if far.any():
+                out[far] = _residual(kernel, x[far])
     np.conjugate(out, out=out, where=flat < 0.0)
     return out.reshape(np.shape(omega))
 
 
 def _interpolated(kernel: DampingKernel, entry: list, x: np.ndarray):
     """The residual at nonempty 0 <= x < 40 sigma on panels geometric about
-    its nearest singularity, i s0; a node takes its value."""
-    while not len(entry[2]) or entry[2][-1, -1] < x.max():
-        hi = kernel.decay_gap * 2.0 ** len(entry[2])
-        lo = 0.5 * hi if len(entry[2]) else 0.0
+    its nearest singularity, i s0; a node takes its value.  The panels a
+    call lacks come from one spectrum call, whose entries keep the bits of
+    their own calls."""
+    new, count = [], len(entry[2])
+    hi = entry[2][-1, -1] if count else 0.0
+    while not count or hi < x.max():
+        hi = kernel.decay_gap * 2.0 ** count
+        lo = 0.5 * hi if count else 0.0
         nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
             np.pi * np.arange(_CHEB_POINTS) / (_CHEB_POINTS - 1))
         nodes[0], nodes[-1] = lo, hi
-        entry[2:] = (np.vstack([entry[2], nodes]),
-                     np.vstack([entry[3], residual_spectrum(kernel, nodes)]))
+        new.append(nodes)
+        count += 1
+    if new:
+        new = np.array(new)
+        entry[2:] = (np.vstack([entry[2], new]),
+                     np.vstack([entry[3], residual_spectrum(kernel, new)]))
     nodes, values = entry[2:]
     panel = np.searchsorted(nodes[:, 0], x, side="right") - 1
     out = np.empty(x.shape, dtype=complex)

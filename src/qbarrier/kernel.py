@@ -23,10 +23,11 @@ which after termwise transform gives
     gtilde(omega) = sqrt(2 sigma) Gamma(3/2) sum_n c_n (s_n + i omega)^{-3/2}.
 
 The sum converges too slowly to evaluate term by term at small error
-(c_n ~ n^{-1/2}), so :meth:`DampingKernel.sqrt_f_spectrum` sums 128 terms
-exactly below |omega| = 40 sigma, closing the rest by a third-order
-Euler-Maclaurin tail in y = 1/sqrt(n), and from there on takes Watson's
-series sum_{k <= 10} sqrt(f)^(k)(0) / (i omega)^(k+1): within 1.5e-15 and
+(c_n ~ n^{-1/2}), so :meth:`DampingKernel.sqrt_f_spectrum` sums 24 terms
+exactly below |omega| = 40 sigma, closing the rest by an Euler-Maclaurin
+tail through h^(7) whose integral is a 24-node rule in y = 1/sqrt(n), and
+from there on takes Watson's series
+sum_{k <= 10} sqrt(f)^(k)(0) / (i omega)^(k+1): within 5.2e-16 and
 2.2e-16 relative of a 30-digit mpmath sum.
 """
 
@@ -51,8 +52,11 @@ _LOG_RATIO = (-1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0,
               -31.0 / 18432.0, 691.0 / 180224.0, -5461.0 / 425984.0,
               929569.0 / 15728640.0)
 
-# exact terms summed by every spectrum call; see sqrt_f_spectrum
-_SPECTRUM_BLOCK = 128
+# exact terms, tail Gauss-Legendre nodes and the order of the last
+# Euler-Maclaurin derivative of every summed spectrum; see sqrt_f_spectrum
+_SPECTRUM_BLOCK = 24
+_TAIL_NODES = 24
+_CLOSURE_ORDER = 7
 # from this many sigma on, the spectrum is its large-omega series
 _SERIES_SIGMAS = 40.0
 
@@ -84,35 +88,42 @@ def _central_binomials(count: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], (2.0 * n - 1.0) / (2.0 * n))))
 
 
-def _closure_terms() -> tuple:
-    """c and the first three derivatives of log c at M, by the series."""
-    x = float(_SPECTRUM_BLOCK)
-    l1, l2, l3 = -0.5 / x, 0.5 / x ** 2, -1.0 / x ** 3
-    for k, d in zip(range(1, 2 * len(_LOG_RATIO), 2), _LOG_RATIO):
-        l1 -= k * d * x ** (-k - 1)
-        l2 += k * (k + 1) * d * x ** (-k - 2)
-        l3 -= k * (k + 1) * (k + 2) * d * x ** (-k - 3)
-    return float(_central_ratio(x)), l1, l2, l3
-
-
-_CLOSURE = _closure_terms()
-
-
 @lru_cache(maxsize=None)
 def _spectrum_rule() -> tuple:
-    """Nodes x_j and weights w_j with sum_j w_j (a + b x_j)^{-3/2} the
-    spectrum sum less its closure: the exact block n < M, then one 48-node
-    Gauss-Legendre rule in 1/sqrt(x) for int_M^inf c (a + b x)^{-3/2} dx."""
-    ynod, ywgt = np.polynomial.legendre.leggauss(48)
+    """Nodes x_j, weights w_j and closure coefficients q_7 .. q_0 of the
+    spectrum sum: sum_j w_j (a + b x_j)^{-3/2} over the exact block n < M
+    and one Gauss-Legendre rule in 1/sqrt(x) for int_M^inf h, plus
+    (a + b M)^{-3/2} sum_k q_k r^k, r = b / (a + b M), the Euler-Maclaurin
+    closure h(M) [1/2 - sum_k B_2k / (2k)! h^(2k-1)(M) / h(M)] to h^(7)."""
+    x, order = float(_SPECTRUM_BLOCK), _CLOSURE_ORDER
+    # d^k log h at M as polynomials in r: the log c series in 1/x, and
+    # (-1)^k 3/2 (k-1)! r^k from -3/2 log(a + b x)
+    dlog = np.zeros((order + 1, order + 1))
+    for k in range(1, order + 1):
+        dlog[k, 0] = 0.5 * (-1) ** k * math.factorial(k - 1) / x ** k
+        for j, d in zip(range(1, 2 * len(_LOG_RATIO), 2), _LOG_RATIO):
+            dlog[k, 0] += (-1) ** k * math.prod(range(j, j + k)) * d / x ** (
+                j + k)
+        dlog[k, k] = (-1) ** k * 1.5 * math.factorial(k - 1)
+    # h^(n) / h, the complete Bell polynomials of those derivatives
+    bell = [np.eye(1, order + 1)[0]]
+    for n in range(order):
+        bell.append(sum(math.comb(n, i) * np.convolve(
+            bell[n - i], dlog[i + 1])[:order + 1] for i in range(n + 1)))
+    # 1/2 less B_(k+1) / (k+1)! h^(k) / h over odd k
+    closure = 0.5 * bell[0]
+    for k, bern in zip(range(1, order + 1, 2), (1/6, -1/30, 1/42, -1/30)):
+        closure -= bern / math.factorial(k + 1) * bell[k]
+    ynod, ywgt = np.polynomial.legendre.leggauss(_TAIL_NODES)
     ynod, ywgt = 0.5 * (ynod + 1.0), 0.5 * ywgt
-    ymax = 1.0 / math.sqrt(_SPECTRUM_BLOCK)  # dx = 2 x^{3/2} dy
+    ymax = 1.0 / math.sqrt(x)  # dx = 2 x^{3/2} dy
     tail = 1.0 / (ymax * ynod) ** 2
-    nodes = np.concatenate([np.arange(float(_SPECTRUM_BLOCK)), tail])
+    nodes = np.concatenate([np.arange(x), tail])
     weights = np.concatenate([_central_binomials(_SPECTRUM_BLOCK),
                               2.0 * ymax * ywgt * _central_ratio(tail)
                               * tail ** 1.5])
     nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return nodes, weights, tuple(_central_ratio(x) * closure[::-1])
 
 
 @dataclass(frozen=True)
@@ -215,26 +226,39 @@ class DampingKernel:
         terms = np.resize([-1j, -1.0, 1j, 1.0], 11) * unit.taylor_sqrt_f(10)
         return np.append(terms, 0.0).reshape(6, 2).sum(1) / self.sigma
 
+    def _series_spectrum(self, x: np.ndarray) -> np.ndarray:
+        """``sqrt_f_spectrum`` at an array x >= 40 sigma, unchecked."""
+        u = self.sigma / x
+        v, acc = u * u + 0j, self._series[-1]
+        for c in self._series[-2::-1]:
+            acc = acc * v + c
+        acc.real *= u
+        acc *= u
+        return acc
+
     def sqrt_f_spectrum(self, omega):
         """One-sided transform ``integral_0^inf sqrt(f(t)) e^{-i omega t} dt``.
 
         Below |omega| = 40 sigma it sums the termwise-transformed
-        expansion: the first M = 128 terms exactly, the rest by the
-        Euler-Maclaurin closure through h'''
+        expansion: the first M = 24 terms exactly, the rest by the
+        Euler-Maclaurin closure through h^(7)
 
-            int_M^inf h + h(M) [1/2 - e1/12 + (e1^3 + 3 e1 e2 + e3)/720],
+            int_M^inf h + h(M)/2 - h'(M)/12 + h'''(M)/720
+                - h^(5)(M)/30240 + h^(7)(M)/1209600,
             h(x) = c(x) (a + b x)^{-3/2},  a = s_0 + i omega,  b = 2 sigma,
 
-        with ``c(x)`` the continued central binomial ratio and e1..e3 the
-        derivatives of log h at M.  Those are O(1/M), so the first omitted
-        term, h^(5)(M)/30240, is about |h(M)| / (42 M^5), i.e.
-        b^{-3/2} / (42 sqrt(pi) M^7) at small |omega|: below 1e-17 of the
-        sum at M = 128, which is why one fixed block suffices.  The
-        integral is ``_spectrum_rule``.  From 40 sigma on it is the series
+        with ``c(x)`` the continued central binomial ratio: h(M) times one
+        polynomial of degree 7 in r = b / (a + b M), whose coefficients and
+        the integral's nodes are ``_spectrum_rule``.  The derivatives of
+        log h are O(1/M), so the first omitted term, h^(9)(M)/47900160, is
+        about |h(M)| / (14 M^9) at small |omega|: 2.9e-18 of the sum at
+        omega = 0 and below 1e-16 of it up to 40 sigma at M = 24, which is
+        why one fixed block suffices.  From 40 sigma on it is the series
         u (u Re C + i Im C) of ``_series`` in u = sigma/|omega|, conjugated
-        for omega < 0.  Relative error against a 30-digit mpmath sum at
-        every finite omega, for gamma in [1e-6, 5] and Omega in [10, 1000]:
-        at most 1.5e-15 below 40 sigma and 2.2e-16 from there on.
+        for omega < 0.
+        Relative error against a 30-digit mpmath sum at every finite omega,
+        for gamma in [1e-6, 5] and Omega in [10, 1000]: at most 5.2e-16
+        below 40 sigma and 2.2e-16 from there on.
         """
         if self.gamma == 0.0:
             raise DegenerateKernelError(
@@ -246,17 +270,11 @@ class DampingKernel:
         far = x >= _SERIES_SIGMAS * self.sigma
         out = np.empty(flat.shape, dtype=complex)
         if far.any():
-            u = self.sigma / x[far]
-            v, acc = u * u + 0j, self._series[-1]
-            for c in self._series[-2::-1]:
-                acc = acc * v + c
-            acc.real *= u
-            acc *= u
+            acc = self._series_spectrum(x[far])
             out[far] = np.conjugate(acc, out=acc, where=flat[far] < 0.0)
         near = flat[~far]
         if near.size:  # the block's set-up only where an entry needs it
-            b, (nodes, wts) = 2.0 * self.sigma, _spectrum_rule()
-            cm, l1, l2, l3 = _CLOSURE
+            b, (nodes, wts, closure) = 2.0 * self.sigma, _spectrum_rule()
             bx, sums = b * nodes, np.empty(near.shape, dtype=complex)
             # per chunk the work array, updated in place, and its square
             # root stay within 1 MB: 8 MB peaked higher in bulk, no faster
@@ -268,11 +286,10 @@ class DampingKernel:
                 np.multiply(terms, np.sqrt(terms), out=terms)
                 np.divide(wts, terms, out=terms)
                 am = a + b * _SPECTRUM_BLOCK
-                r = b / am
-                e1, e2, e3 = (l1 - 1.5 * r, l2 + 1.5 * r * r,
-                              l3 - 3.0 * r ** 3)
-                sums[i0:i0 + chunk] = terms.sum(axis=1) + cm * am ** -1.5 * (
-                    0.5 - e1 / 12.0 + (e1 ** 3 + 3.0 * e1 * e2 + e3) / 720.0)
+                r, acc = b / am, closure[0]
+                for q in closure[1:]:
+                    acc = acc * r + q
+                sums[i0:i0 + chunk] = terms.sum(axis=1) + acc * am ** -1.5
             out[~far] = math.sqrt(b) * 0.5 * math.sqrt(math.pi) * sums
         result = out.reshape(np.shape(omega))
         return complex(result) if result.ndim == 0 else result

@@ -26,7 +26,8 @@ def _fresh_interpreter(code: str) -> str:
 
 # One fresh interpreter imports the package, runs every subcommand and
 # three engine calls; after each step it records the scipy and thread-pool
-# modules loaded so far, and at the end the package modules none loaded
+# modules loaded so far, after the import the numpy.polynomial ones too, and
+# at the end the package modules none loaded
 _FRESH_RUNS = """
 import json, os, pkgutil, sys
 
@@ -39,6 +40,8 @@ import qbarrier
 report["heavy"]["import qbarrier"] = heavy()
 import qbarrier.cli
 report["heavy"]["import qbarrier.cli"] = heavy()
+report["polynomial at import"] = sorted(
+    m for m in sys.modules if m.startswith("numpy.polynomial"))
 
 import numpy as np
 from qbarrier.damped import amplitude_w_D

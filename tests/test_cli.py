@@ -420,6 +420,14 @@ def test_cli_import_path_is_lean(fresh_runs):
     assert fresh_runs["heavy"]["import qbarrier.cli"] == []
 
 
+def test_cli_import_leaves_out_numpy_polynomial_and_scipy(fresh_runs):
+    # the spectrum's Gauss-Legendre nodes and closure coefficients are made
+    # on its first call, not at import: numpy.polynomial alone costs about
+    # 3 ms, which every run would pay before it starts
+    assert fresh_runs["polynomial at import"] == []
+    assert fresh_runs["heavy"]["import qbarrier.cli"] == []
+
+
 def test_cli_figure5_loads_no_scipy(fresh_runs):
     # figure5 is the damped C_D curve: the height sweep with its FFT,
     # numpy-only, and the trapezoid sum on one thread

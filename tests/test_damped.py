@@ -3,11 +3,14 @@ spectral evaluation against frozen references, and continuity in the
 weak-damping limit."""
 
 import dataclasses
+import functools
 import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbarrier import damped, quadrature
 from qbarrier import kernel as kernel_module
@@ -510,54 +513,54 @@ def _summing(calls) -> list:
 def test_height_sweep_makes_one_spectrum_call_of_few_nodes(monkeypatch):
     # the figure5-shaped sweep's residual half spans 8,951 grid nodes, all
     # of which one spectrum call evaluated; on a fresh table the interpolant
-    # makes one 32-node call per panel, 8 of them, and the nodes from 40
-    # sigma on one call of the series alone; a second sweep on the same
-    # kernel sums nothing
+    # grows its 8 panels by one call of 8 x 32 nodes, and the nodes from 40
+    # sigma on take the series without a spectrum call; a second sweep on
+    # the same kernel calls the spectrum not at all
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(5e-3, 100.0)
     grid = 0.0125 * np.arange(-32768, 32769)
     amplitude_w_D_height_sweep(1.3, 5.0, kernel, grid)
-    assert _summing(calls) == [damped._CHEB_POINTS] * 8
-    assert sum(summed for _, summed in calls) <= 8 * damped._CHEB_POINTS
-    assert len(calls) == 9
+    assert len(calls) == 1
+    assert _summing(calls) == [8 * damped._CHEB_POINTS]
     calls.clear()
     amplitude_w_D_height_sweep(1.3, 5.0, kernel, grid)
-    assert len(calls) == 1 and _summing(calls) == []
+    assert calls == []
 
 
 def test_w_D_reads_its_residual_from_panels_made_once(monkeypatch):
     # the first w_D on a fresh table makes its 3-node window probe, here all
-    # series, and sums one 32-node call per panel out to its window; later
-    # energies at the same tol sum nothing, where each summed rows of its own
+    # series, and sums the panels out to its window in one call of 32 nodes
+    # a panel; later energies at the same tol call the spectrum not at all,
+    # where each summed rows of its own
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(5e-3, 100.0)
     count = _panels_to(kernel, amplitude_w_D(1.3, 5.0, kernel).cutoff)
     assert calls[0] == (3, 0)
-    assert _summing(calls) == [damped._CHEB_POINTS] * count
+    assert _summing(calls) == [count * damped._CHEB_POINTS]
     assert len(damped._table(kernel)[2]) == count
     calls.clear()
     for e in (0.5, 2.0, 4.0):
         amplitude_w_D(e, 5.0, kernel)
-    assert calls and _summing(calls) == []
+    assert calls == []
 
 
 def test_weak_damping_kernel_makes_eight_panels(monkeypatch):
     # at gamma 1e-5, Omega 10 the w_D window reaches 250,000 sigma; the
     # interpolant stops at the panel holding 40 sigma, where the series
     # takes over, so the first w_D makes its 3-node window probe, all
-    # series, and sums eight 32-node panel calls, where panels out to the
-    # window made 21
+    # series, and sums its eight 32-node panels in one call, where panels
+    # out to the window made 21; a second energy calls the spectrum not at all
     monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(1e-5, 10.0)
     assert amplitude_w_D(1.3, 5.0, kernel).cutoff > 2e5 * kernel.sigma
     assert calls[0] == (3, 0)
-    assert _summing(calls) == [damped._CHEB_POINTS] * 8
+    assert _summing(calls) == [8 * damped._CHEB_POINTS]
     calls.clear()
     amplitude_w_D(2.0, 5.0, kernel)
-    assert calls and _summing(calls) == []
+    assert calls == []
 
 
 def test_residual_bits_do_not_depend_on_the_table_history(monkeypatch):
@@ -581,6 +584,41 @@ def test_residual_bits_do_not_depend_on_the_table_history(monkeypatch):
     fresh()
     cumulative_amplitude(1.3, 5.0, kernel, taus)
     assert amplitude_w_D(1.3, 5.0, kernel) == w_D
+
+
+_BATCH_KERNELS = (DampingKernel(5e-3, 100.0), DampingKernel(1e-5, 10.0))
+
+
+@functools.cache
+def _alone(index):
+    """Frequencies on both sides of 40 sigma for ``_BATCH_KERNELS[index]``,
+    with the spectrum and the residual of each from a call of its own."""
+    kernel = _BATCH_KERNELS[index]
+    switch = kernel_module._SERIES_SIGMAS * kernel.sigma
+    pool = switch * 10.0 ** np.linspace(-5.0, 2.0, 301)
+    pool = np.append(pool * (-1.0) ** np.arange(pool.size),
+                     [0.0, -0.0, switch, np.nextafter(switch, 0.0)])
+    return (pool,
+            np.array([kernel.sqrt_f_spectrum(w) for w in pool.tolist()]),
+            np.array([residual_spectrum(kernel, w) for w in pool.tolist()]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.sampled_from([0, 1]), size=st.integers(1, 1500),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_spectrum_entries_keep_their_bits_in_any_batch(index, size, seed):
+    # the interpolant sums all the panels a call lacks in one spectrum call,
+    # and test_residual_bits_do_not_depend_on_the_table_history needs each
+    # node's value free of the nodes beside it: any draw of near and far
+    # nodes, repeats and several chunks of the summed block included, gives
+    # each the bits of its own call, as spectrum and as residual
+    kernel = _BATCH_KERNELS[index]
+    pool, spectrum, residual = _alone(index)
+    pick = np.random.default_rng(seed).integers(0, pool.size, size)
+    assert (kernel.sqrt_f_spectrum(pool[pick]).tobytes()
+            == spectrum[pick].tobytes())
+    assert (residual_spectrum(kernel, pool[pick].reshape(1, -1)).tobytes()
+            == residual[pick].tobytes())
 
 
 def test_residual_panels_stay_those_of_the_window(monkeypatch):

@@ -278,11 +278,12 @@ def test_spectrum_entries_keep_their_own_bits(gamma, cutoff):
     kernel = DampingKernel(gamma, cutoff)
     rng = np.random.default_rng(21)
     switch = kernel_module._SERIES_SIGMAS * kernel.sigma
-    omega = switch * 10.0 ** rng.uniform(-4, 3, 1200)
+    omega = switch * 10.0 ** rng.uniform(-4, 3, 4000)
     omega = np.append(omega, [0.0, switch, np.nextafter(switch, 0.0)])
     omega *= rng.choice([-1.0, 1.0], omega.size)
     summed = np.count_nonzero(np.abs(omega) < switch)
-    assert 3 * 186 < summed < omega.size  # chunks of 186 entries
+    chunk = (1 << 15) // kernel_module._spectrum_rule()[0].size
+    assert 3 * chunk < summed < omega.size
     single = [kernel.sqrt_f_spectrum(w) for w in omega.tolist()]
     assert np.array(single).tobytes() == kernel.sqrt_f_spectrum(
         omega).tobytes()
@@ -330,12 +331,14 @@ def _spectrum_mpmath(kernel, omega):
 
 def test_spectrum_against_mpmath():
     # the corners of the rate box and the two workhorse kernels, from the
-    # spectrum's centre out past the turnover of the weakest kernels
+    # spectrum's centre out past the turnover of the weakest kernels, and
+    # at 0.3, 3 and 39 sigma, where every kernel's summed rule answers
     worst = {}
     for gamma, cutoff in ((1e-6, 10.0), (1e-6, 1000.0), (1e-5, 10.0),
                           (1e-3, 100.0), (5e-3, 100.0), (5.0, 1000.0)):
         kernel = DampingKernel(gamma, cutoff)
-        for omega in (0.0, -2.0, 64.0, 400.0):
+        for omega in (0.0, -2.0, 64.0, 400.0) + tuple(
+                ratio * kernel.sigma for ratio in (0.3, 3.0, 39.0)):
             want = _spectrum_mpmath(kernel, omega)
             got = kernel.sqrt_f_spectrum(omega)
             worst[gamma, cutoff, omega] = abs(got - want) / abs(want)

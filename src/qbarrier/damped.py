@@ -31,12 +31,12 @@ amplitude exactly.
 A weak table per kernel, shared by equal kernels, keeps the ladder, each
 tol's window and the residual interpolant both damped routes read:
 ``_CHEB_POINTS`` second-kind Chebyshev points on each panel [0, s0],
-[s0, 2 s0], ..., up to the one holding 40 sigma, the panels a call lacks
-in one spectrum call, within 1.75e-15 |gtilde| of a direct call at eight
-kernels of the rate box.  From 40 sigma on, where the spectrum is its
-large-omega series, the residual is that series less the ladder, with
-the bits of a direct call (weak damping: 8 panels).  w_D's error carries
-that share.
+[s0, 2 s0], ..., up to the one holding 40 sigma, all made with the
+kernel's entry in one spectrum call, within 1.75e-15 |gtilde| of a direct
+call at eight kernels of the rate box.  From 40 sigma on, where the
+spectrum is its large-omega series, the residual is that series less the
+ladder, with the bits of a direct call (weak damping: 8 panels).  w_D's
+error carries that share.
 """
 
 from __future__ import annotations
@@ -101,12 +101,23 @@ def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
 
 
 def _table(kernel: DampingKernel) -> list:
-    """The kernel's [ladder, windows, nodes, values], made on first use."""
+    """The kernel's [ladder, windows, nodes, values], made whole on first
+    use: the ladder, then ``_CHEB_POINTS`` second-kind Chebyshev points on
+    each panel [0, s0], [s0, 2 s0], ... up to the one holding 40 sigma,
+    valued by one residual call, so the table depends on the kernel alone."""
     entry = _RESIDUAL_TABLES.get(kernel)
     if entry is None:
-        empty = np.empty((0, _CHEB_POINTS))
-        entry = _RESIDUAL_TABLES[kernel] = [subtraction_ladder(kernel), {},
-                                            empty, empty]
+        ladder, hi, count = subtraction_ladder(kernel), kernel.decay_gap, 1
+        while hi < _SERIES_SIGMAS * kernel.sigma:
+            hi, count = 2.0 * hi, count + 1
+        hi = kernel.decay_gap * 2.0 ** np.arange(count)
+        lo = np.concatenate([[0.0], hi[:-1]])
+        nodes = 0.5 * (lo + hi)[:, None] - 0.5 * (hi - lo)[:, None] * np.cos(
+            np.pi * np.arange(_CHEB_POINTS) / (_CHEB_POINTS - 1))
+        nodes[:, 0], nodes[:, -1] = lo, hi
+        entry = _RESIDUAL_TABLES[kernel] = [
+            ladder, {}, nodes,
+            kernel.sqrt_f_spectrum(nodes) - ladder.spectrum(nodes)]
     return entry
 
 
@@ -121,43 +132,23 @@ def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
 
 def _residual(kernel: DampingKernel, omega) -> np.ndarray:
     """``residual_spectrum`` at real ``omega``, conjugated for omega < 0:
-    ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, then the series less
-    the ladder, with the bits of a direct call."""
+    ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, from there on the
+    series less the ladder, with the bits of a direct call."""
     entry, flat = _table(kernel), np.asarray(omega, dtype=float).ravel()
     x = np.abs(flat)
-    far = x >= _SERIES_SIGMAS * kernel.sigma
+    near = x < _SERIES_SIGMAS * kernel.sigma
+    out = np.empty(flat.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        if far.all():  # rows past 40 sigma, as a direct call makes them
-            out = kernel._series_spectrum(x) - entry[0].spectrum(x)
-        else:
-            out = np.empty(flat.shape, dtype=complex)
-            out[~far] = _interpolated(kernel, entry, x[~far])
-            if far.any():
-                out[far] = _residual(kernel, x[far])
+        out[near] = _interpolated(*entry[2:], x[near])
+        far = x[~near]
+        out[~near] = kernel._series_spectrum(far) - entry[0].spectrum(far)
     np.conjugate(out, out=out, where=flat < 0.0)
     return out.reshape(np.shape(omega))
 
 
-def _interpolated(kernel: DampingKernel, entry: list, x: np.ndarray):
-    """The residual at nonempty 0 <= x < 40 sigma on panels geometric about
-    its nearest singularity, i s0; a node takes its value.  The panels a
-    call lacks come from one spectrum call, whose entries keep the bits of
-    their own calls."""
-    new, count = [], len(entry[2])
-    hi = entry[2][-1, -1] if count else 0.0
-    while not count or hi < x.max():
-        hi = kernel.decay_gap * 2.0 ** count
-        lo = 0.5 * hi if count else 0.0
-        nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
-            np.pi * np.arange(_CHEB_POINTS) / (_CHEB_POINTS - 1))
-        nodes[0], nodes[-1] = lo, hi
-        new.append(nodes)
-        count += 1
-    if new:
-        new = np.array(new)
-        entry[2:] = (np.vstack([entry[2], new]),
-                     np.vstack([entry[3], residual_spectrum(kernel, new)]))
-    nodes, values = entry[2:]
+def _interpolated(nodes: np.ndarray, values: np.ndarray, x: np.ndarray):
+    """The residual at 0 <= x < 40 sigma from the table's panels, geometric
+    about its nearest singularity, i s0; a node takes its value."""
     panel = np.searchsorted(nodes[:, 0], x, side="right") - 1
     out = np.empty(x.shape, dtype=complex)
     for i in range(0, x.size, 128):
@@ -320,13 +311,16 @@ def amplitude_w_D_height_sweep(
 
     The workhorse behind C_D, which needs 65,537 heights where a certified
     point costs about 0.6 ms: the ladder part is a few closed evaluations a
-    point, the residual part one FFT correlation at the step h / p,
+    point, the residual part a correlation at the step h / p,
     p = ceil(6 h / s0), s0 the decay gap, so the branch point at i s0
     aliases by about e^{-12 pi}.  Its bare samples lie on ``h * (j / p)``,
-    |j| <= p n + m, every p-th the caller's grid bit for bit, and every p-th
-    output is kept.  The residual interpolant reaches ``W = m h / p``, where
-    its ``mismatch / omega^5`` envelope leaves a tail below 1e-10, clamped
-    to [40, 200].  p n + m past 5e6 raises WindowError, counted in floats
+    |j| <= p n + m, every p-th the caller's grid bit for bit.  It runs one
+    residue class of j mod p at a time, each an FFT correlation of the
+    caller's grid shifted by that many fine steps against every p-th
+    residual sample, so the buffer keeps the size it has at p = 1.  The
+    residual interpolant reaches ``W = m h / p``, where its
+    ``mismatch / omega^5`` envelope leaves a tail below 1e-10, clamped to
+    [40, 200].  p n + m past 5e6 raises WindowError, counted in floats
     before any int or array of that size is made; a tail bound
     ``max(mismatch, 1e-4) / (4 pi W^4)`` above 1e-5 |H0|, H0 the value at
     omega = 0, raises NonConvergenceError with H0 and the bound.  Bare
@@ -348,16 +342,21 @@ def amplitude_w_D_height_sweep(
         return amplitude_w_complex_height(
             epsilon, width, 1.0 - (2.0 / width) * x)
 
-    # the first block holds the largest |omega|, so it meets any overflow
-    blocks = [np.s_[i:i + _SWEEP_BLOCK]
-              for i in range(0, om.size, _SWEEP_BLOCK)]
+    def sample(into, count, start, p=1):
+        """``into[s] = w(step * (j / p))``, j = start + p s, s < count, by
+        blocks; the first holds the largest |omega|, so it meets any
+        overflow."""
+        for i in range(0, count, _SWEEP_BLOCK):
+            j = np.arange(start + p * i,
+                          start + p * min(i + _SWEEP_BLOCK, count), p)
+            into[i:i + j.size] = shifted(step * (j / p))
+
     key = ("bare", float(epsilon), float(width), step, n)
     out = np.zeros(om.shape, dtype=complex)
     if kernel.gamma == 0.0:
         if shared is not None and key in shared:
             return shared[key].copy()
-        for b in blocks:
-            out[b] = shifted(om[b])
+        sample(out, om.size, -n)
         return out
 
     ladder = _table(kernel)[0]
@@ -373,26 +372,31 @@ def amplitude_w_D_height_sweep(
     # omega >= 0, mirrored; made before the ladder blocks, RSS peaks lower
     half = _residual(kernel, step * (np.arange(m + 1) / p))
     g_res = np.concatenate([np.conj(half[:0:-1]), half])
-    for b in blocks:
+    for i in range(0, om.size, _SWEEP_BLOCK):
+        b = np.s_[i:i + _SWEEP_BLOCK]
         for aj, sj in zip(ladder.weights, ladder.rates):
             out[b] += aj * shifted(om[b] + 1j * sj)
 
-    # correlation against the residual spectrum, out[i] = sum_j w(om_i + u_j) g(u_j),
-    # as the "valid" part of a full linear convolution done by FFT; samples
-    # are assigned, not added, into the zero padding: 0.0 + -0.0 is +0.0
-    size = 2 * (p * n + m) + 1
-    spec = np.zeros(_next_fast_len(size + g_res.size - 1), dtype=complex)
-    for i in range(0, size, _SWEEP_BLOCK):
-        j = np.arange(i, min(i + _SWEEP_BLOCK, size)) - (p * n + m)
-        spec[i:i + j.size] = shifted(step * (j / p))
-    if shared is not None and key not in shared:  # the caller's grid
-        shared[key] = spec[m:size - m:p].copy()
-    np.fft.fft(spec, out=spec)
-    spec *= np.fft.fft(g_res[::-1], spec.size)
-    np.fft.ifft(spec, out=spec)
-    valid = spec[g_res.size - 1:size:p]
-    valid *= step / p / (2.0 * math.pi)
-    out += valid
+    # correlation against the residual spectrum, out[i] = sum_k w(om_i + u_k)
+    # g(u_k), u_k = step * (k / p), by residue class c = (k + m) mod p: each
+    # is the "valid" part of a linear convolution by FFT of the caller's grid
+    # shifted by c - m fine steps with g_res[c::p]; samples are assigned, not
+    # added, into the zero padding: 0.0 + -0.0 is +0.0
+    spec = np.zeros(_next_fast_len(2 * (n + len(g_res[::p])) - 1),
+                    dtype=complex)
+    for c in range(p):
+        g_c = g_res[c::p]
+        count = om.size + g_c.size - 1
+        sample(spec, count, c - (p * n + m), p)
+        spec[count:] = 0.0
+        if c == m % p and shared is not None and key not in shared:
+            shared[key] = spec[m // p:m // p + om.size].copy()  # the grid
+        np.fft.fft(spec, out=spec)
+        spec *= np.fft.fft(g_c[::-1], spec.size)
+        np.fft.ifft(spec, out=spec)
+        valid = spec[g_c.size - 1:g_c.size - 1 + om.size]
+        valid *= step / p / (2.0 * math.pi)
+        out += valid
 
     tail = envelope / (4.0 * math.pi * resid_halfwidth ** 4)
     h0 = complex(out[n])

@@ -53,6 +53,8 @@ class SweepResult:
     params: dict
     errors: dict = field(default_factory=dict)
     reasons: dict = field(default_factory=dict)  # label -> first exception
+    # label -> damped cells whose w_D error is at least |w_D|, if any
+    low_significance: dict = field(default_factory=dict)
 
     @property
     def failures(self) -> int:
@@ -86,7 +88,8 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
     gammas = _with_baseline(gammas)
     labels = [gamma_label(g) for g in gammas]
     eps = np.asarray(epsilons, dtype=float)
-    cells = np.zeros((eps.size, len(gammas), 2))  # (|w_D|^2, its error)
+    # (|w_D|^2, its error, 1 where w_D's error is at least |w_D|)
+    cells = np.zeros((eps.size, len(gammas), 3))
     reasons = {}
     for col, g in enumerate(gammas):
         if g == 0.0:
@@ -99,13 +102,16 @@ def run_transmission(width: float, epsilons: np.ndarray, gammas, cutoff: float,
                                                      tol=tol)))
     params = dict(width=width, cutoff=cutoff, tol=tol,
                   gammas=gammas, n_points=eps.size)
+    low = np.count_nonzero(cells[..., 2] == 1.0, axis=0).tolist()
     return SweepResult("transmission", "epsilon", eps, labels, cells[..., 0],
                        params, dict(zip(labels, cells[..., 1].T.tolist())),
-                       reasons)
+                       reasons, {k: n for k, n in zip(labels, low) if n})
 
 
 def _probability(res) -> tuple:
-    return abs(res.value) ** 2, 2.0 * abs(res.value) * res.error_estimate
+    size = abs(res.value)
+    return (size ** 2, 2.0 * size * res.error_estimate,
+            float(res.error_estimate >= size))
 
 
 def run_mean_deviation(width: float, epsilons: np.ndarray) -> SweepResult:
@@ -224,6 +230,9 @@ def format_csv(result: SweepResult, *, timestamp: bool = True) -> str:
         finite = [e for e in result.errors[label] if not math.isnan(e)]
         worst = max(finite) if finite else math.nan
         lines.append(f"# max_error_{label}={_fmt(worst)}")
+    for label in sorted(result.low_significance):
+        lines.append(f"# low_significance_{label}="
+                     f"{result.low_significance[label]}")
     if result.failures:
         lines.append(f"# failures={result.failures}")
     if timestamp:

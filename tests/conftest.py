@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qbarrier
+from qbarrier import damped
 from qbarrier.quadrature import integrate_adaptive
 
 
@@ -92,6 +94,18 @@ def _spectrum_oracle(kernel, omega, tol):
 @pytest.fixture
 def spectrum_oracle():
     return _spectrum_oracle
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty residual tables for this test; the fixture's value, called,
+    empties them again."""
+    def fresh():
+        monkeypatch.setattr(damped, "_RESIDUAL_TABLES",
+                            weakref.WeakKeyDictionary())
+
+    fresh()
+    return fresh
 
 
 @pytest.fixture(scope="session")

@@ -296,6 +296,22 @@ def test_cli_reports_failed_cells_on_stderr(capsys):
         "needs 4.59e+07 steps per side, over 5e6\n")
 
 
+def test_cli_flags_damped_cells_with_no_significant_digits(capsys):
+    # at d-hat 20, gamma 0.05, Omega 1000 |w_D| is 3.6e-10 and 6.6e-10 with
+    # errors of 7.7e-7 and 7.6e-7, so neither cell holds a significant digit;
+    # the header counts such cells per column, exit 0, and a column without
+    # any, g0 here or the damped one at d-hat 5 (|w_D| 1.9e-5), gets no line
+    argv = ["transmission", "--epsilon-range", "1.3:1.4:2", "--gamma-star",
+            "0.05", "--omega-star", "1000", "--no-timestamp"]
+    flagged = []
+    for width in ("20", "5"):
+        code = main(argv + ["--d-over-lambda0", width])
+        assert code == 0
+        flagged.append([ln for ln in capsys.readouterr().out.splitlines()
+                        if ln.startswith("# low_significance")])
+    assert flagged == [["# low_significance_g0.05=2"], []]
+
+
 def test_cli_refuses_a_cumulative_curve_its_residual_clamp_leaves_wrong(
         capsys):
     # at gamma = 0.5 the height sweep's residual tail bound is 29 |H0|; the

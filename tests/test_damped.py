@@ -5,7 +5,7 @@ weak-damping limit."""
 import dataclasses
 import functools
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,7 +131,8 @@ def test_sweep_sharing_a_kernel_matches_fresh_kernels(order):
                 2.0 * abs(ref.value) * ref.error_estimate)
 
 
-def test_w_D_searches_its_window_once_per_kernel_and_tol(monkeypatch):
+def test_w_D_searches_its_window_once_per_kernel_and_tol(monkeypatch,
+                                                         fresh_tables):
     # the window depends on the kernel and tol alone, so the kernel's table
     # keeps it: these four energies make one 3-node window probe, where
     # each made its own
@@ -143,7 +144,6 @@ def test_w_D_searches_its_window_once_per_kernel_and_tol(monkeypatch):
         return spectrum(self, omega)
 
     monkeypatch.setattr(DampingKernel, "sqrt_f_spectrum", counted)
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     kernel = DampingKernel(5e-3, 100.0)
     for e in (0.5, 1.3, 2.0, 4.0):
         amplitude_w_D(e, 5.0, kernel)
@@ -153,7 +153,7 @@ def test_w_D_searches_its_window_once_per_kernel_and_tol(monkeypatch):
         amplitude_w_D(e, 5.0, kernel, tol=1e-4)
     assert shapes.count((3,)) == 2
     # a fresh table searches again, and a failed search keeps nothing
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    fresh_tables()
     amplitude_w_D(1.3, 5.0, kernel)
     assert shapes.count((3,)) == 3
     with pytest.raises(NonConvergenceError, match="tail bound stuck"):
@@ -453,13 +453,12 @@ def test_height_sweep_bits_do_not_depend_on_the_block_length(monkeypatch,
     (1e-3, 100.0), (5e-3, 100.0), (0.05, 100.0), (5e-3, 10.0), (0.02, 300.0),
     (0.05, 1000.0), (1.0, 1000.0), (1e-5, 10.0)])
 def test_height_sweep_interpolates_its_residual_half_to_the_spectrum_floor(
-        monkeypatch, gamma, cutoff):
+        fresh_tables, gamma, cutoff):
     # the sweep's residual half and w_D's integrand read one interpolant, 32
     # Chebyshev points per panel, and past 40 sigma its large-omega series;
     # over each tol's whole w_D window it meets the direct call to the
     # spectrum's own 1.5e-15 level (16 points miss by about 2.5e-10), and a
     # point on a node below the series takes the node's value
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     kernel = DampingKernel(gamma, cutoff)
     for tol in (1e-6, 1e-10):
         window = amplitude_w_D(1.3, 5.0, kernel, tol=tol).cutoff
@@ -495,12 +494,11 @@ def _spectrum_calls(monkeypatch) -> list:
     return calls
 
 
-def _panels_to(kernel, reach) -> int:
-    """Panels [0, s0], [s0, 2 s0], ... needed to reach ``reach``, or the
-    series threshold if that is lower."""
-    reach = min(reach, kernel_module._SERIES_SIGMAS * kernel.sigma)
+def _panels_to(kernel) -> int:
+    """Panels [0, s0], [s0, 2 s0], ... needed to reach the series
+    threshold, 40 sigma."""
     top, count = kernel.decay_gap, 1
-    while top < reach:
+    while top < kernel_module._SERIES_SIGMAS * kernel.sigma:
         top, count = 2.0 * top, count + 1
     return count
 
@@ -510,13 +508,13 @@ def _summing(calls) -> list:
     return [size for size, summed in calls if summed]
 
 
-def test_height_sweep_makes_one_spectrum_call_of_few_nodes(monkeypatch):
+def test_height_sweep_makes_one_spectrum_call_of_few_nodes(monkeypatch,
+                                                           fresh_tables):
     # the figure5-shaped sweep's residual half spans 8,951 grid nodes, all
-    # of which one spectrum call evaluated; on a fresh table the interpolant
-    # grows its 8 panels by one call of 8 x 32 nodes, and the nodes from 40
-    # sigma on take the series without a spectrum call; a second sweep on
-    # the same kernel calls the spectrum not at all
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    # of which one spectrum call evaluated; a fresh table is made whole, its
+    # 8 panels in one call of 8 x 32 nodes, and the nodes from 40 sigma on
+    # take the series without a spectrum call; a second sweep on the same
+    # kernel calls the spectrum not at all
     calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(5e-3, 100.0)
     grid = 0.0125 * np.arange(-32768, 32769)
@@ -528,16 +526,35 @@ def test_height_sweep_makes_one_spectrum_call_of_few_nodes(monkeypatch):
     assert calls == []
 
 
-def test_w_D_reads_its_residual_from_panels_made_once(monkeypatch):
-    # the first w_D on a fresh table makes its 3-node window probe, here all
-    # series, and sums the panels out to its window in one call of 32 nodes
-    # a panel; later energies at the same tol call the spectrum not at all,
-    # where each summed rows of its own
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+def test_weak_damping_sweep_keeps_the_buffer_of_one_residue_class(
+        fresh_tables):
+    # at gamma 5e-5 the sweep correlates at h / 24; taken one residue class
+    # of the fine step at a time, its numpy working set on the figure5 grid
+    # stays near that of h itself (15 MB), where one FFT over all 24 classes
+    # peaked at 65 MB
+    kernel = DampingKernel(5e-5, 100.0)
+    grid = 0.0125 * np.arange(-32768, 32769)
+    damped._table(kernel)
+    tracemalloc.start()
+    try:
+        amplitude_w_D_height_sweep(1.3, 5.0, kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
+def test_w_D_reads_its_residual_from_panels_made_once(monkeypatch,
+                                                      fresh_tables):
+    # the first w_D on a fresh table makes the kernel's whole table, every
+    # panel to the one holding 40 sigma, in one call of 32 nodes a panel,
+    # then its 3-node window probe, here all series; later energies at the
+    # same tol call the spectrum not at all, where each summed rows of its own
     calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(5e-3, 100.0)
-    count = _panels_to(kernel, amplitude_w_D(1.3, 5.0, kernel).cutoff)
-    assert calls[0] == (3, 0)
+    amplitude_w_D(1.3, 5.0, kernel)
+    count = _panels_to(kernel)
+    assert calls[0][0] == count * damped._CHEB_POINTS and calls[1] == (3, 0)
     assert _summing(calls) == [count * damped._CHEB_POINTS]
     assert len(damped._table(kernel)[2]) == count
     calls.clear()
@@ -546,42 +563,36 @@ def test_w_D_reads_its_residual_from_panels_made_once(monkeypatch):
     assert calls == []
 
 
-def test_weak_damping_kernel_makes_eight_panels(monkeypatch):
+def test_weak_damping_kernel_makes_eight_panels(monkeypatch, fresh_tables):
     # at gamma 1e-5, Omega 10 the w_D window reaches 250,000 sigma; the
-    # interpolant stops at the panel holding 40 sigma, where the series
-    # takes over, so the first w_D makes its 3-node window probe, all
-    # series, and sums its eight 32-node panels in one call, where panels
-    # out to the window made 21; a second energy calls the spectrum not at all
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+    # table stops at the panel holding 40 sigma, where the series takes
+    # over, so the first w_D sums its eight 32-node panels in one call,
+    # where panels out to the window made 21, then makes its 3-node window
+    # probe, all series; a second energy calls the spectrum not at all
     calls = _spectrum_calls(monkeypatch)
     kernel = DampingKernel(1e-5, 10.0)
     assert amplitude_w_D(1.3, 5.0, kernel).cutoff > 2e5 * kernel.sigma
-    assert calls[0] == (3, 0)
+    assert calls[1] == (3, 0)
     assert _summing(calls) == [8 * damped._CHEB_POINTS]
     calls.clear()
     amplitude_w_D(2.0, 5.0, kernel)
     assert calls == []
 
 
-def test_residual_bits_do_not_depend_on_the_table_history(monkeypatch):
-    # a panel's values are its own spectrum call, so w_D and C_D keep their
-    # bits whichever call, tol or route first made the panels they read
-    def fresh():
-        monkeypatch.setattr(damped, "_RESIDUAL_TABLES",
-                            weakref.WeakKeyDictionary())
-
+def test_residual_bits_do_not_depend_on_the_table_history(fresh_tables):
+    # the table is made whole from the kernel alone, so w_D and C_D keep
+    # their bits whichever call, tol or route first made it
     kernel, taus = DampingKernel(5e-3, 100.0), np.linspace(0.0, 5.0, 11)
-    fresh()
     w_D = amplitude_w_D(1.3, 5.0, kernel)
-    fresh()
+    fresh_tables()
     c_D = cumulative_amplitude(1.3, 5.0, kernel, taus).values.tobytes()
-    fresh()
+    fresh_tables()
     amplitude_w_D(1.3, 5.0, kernel, tol=1e-10)  # a window 8 times wider
     assert amplitude_w_D(1.3, 5.0, kernel) == w_D
-    fresh()
+    fresh_tables()
     amplitude_w_D(1.3, 5.0, kernel)
     assert cumulative_amplitude(1.3, 5.0, kernel, taus).values.tobytes() == c_D
-    fresh()
+    fresh_tables()
     cumulative_amplitude(1.3, 5.0, kernel, taus)
     assert amplitude_w_D(1.3, 5.0, kernel) == w_D
 
@@ -607,8 +618,8 @@ def _alone(index):
 @given(index=st.sampled_from([0, 1]), size=st.integers(1, 1500),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_spectrum_entries_keep_their_bits_in_any_batch(index, size, seed):
-    # the interpolant sums all the panels a call lacks in one spectrum call,
-    # and test_residual_bits_do_not_depend_on_the_table_history needs each
+    # the table sums all its panels in one spectrum call, and
+    # test_residual_bits_do_not_depend_on_the_table_history needs each
     # node's value free of the nodes beside it: any draw of near and far
     # nodes, repeats and several chunks of the summed block included, gives
     # each the bits of its own call, as spectrum and as residual
@@ -621,19 +632,20 @@ def test_spectrum_entries_keep_their_bits_in_any_batch(index, size, seed):
             == residual[pick].tobytes())
 
 
-def test_residual_panels_stay_those_of_the_window(monkeypatch):
-    # the table holds the panels out to the widest call, or to the one
-    # holding 40 sigma if that is lower, and no more, so a sweep of any
-    # number of energies keeps the panel count of its window; rows kept by
-    # node bytes grew with the energies until a budget cleared them
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
+def test_residual_panels_stay_those_of_the_window(fresh_tables):
+    # the kernel's entry is made whole, the panels to the one holding 40
+    # sigma, before any window is searched, and no tol, window or number of
+    # energies adds a panel; the table once grew with the widest call's
+    # reach, so what it held depended on which call came first
     kernel = DampingKernel(5e-3, 1000.0)
     entry = damped._table(kernel)  # the sweeps' equal kernels share it
+    nodes, values = entry[2:]
+    assert entry[1] == {} and len(nodes) == _panels_to(kernel)
     run_transmission(5.0, np.linspace(0.5, 3.0, 10), [5e-3], 1000.0)
-    count = _panels_to(kernel, entry[1][1e-6][0])
-    assert len(entry[2]) == count
     run_transmission(5.0, np.linspace(0.55, 3.05, 40), [5e-3], 1000.0)
-    assert len(entry[2]) == count
+    run_transmission(5.0, [1.3], [5e-3], 1000.0, tol=1e-10)
+    assert sorted(entry[1]) == [1e-10, 1e-6]
+    assert entry[2] is nodes and entry[3] is values
 
 
 @pytest.mark.parametrize("gamma, cutoff, epsilon", [

@@ -399,6 +399,27 @@ def test_spectrum_conjugate_symmetry():
         assert left == pytest.approx(right.conjugate(), rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma, cutoff", [
+    (1e-5, 10.0), (5e-3, 100.0), (0.05, 1000.0), (1.0, 1000.0)])
+def test_spectrum_mirrors_to_its_conjugate_bit_for_bit(gamma, cutoff):
+    # every entry, summed below 40 sigma or series from there on, is made
+    # at |omega| and conjugated where omega < 0: -omega gives the conjugate
+    # of +omega to the bit, in one call and alone, and -0, which is not
+    # below 0, the bits of +0
+    kernel = DampingKernel(gamma, cutoff)
+    switch = kernel_module._SERIES_SIGMAS * kernel.sigma
+    om = np.concatenate([[switch, np.nextafter(switch, 0.0)],
+                         switch * np.geomspace(1e-6, 1e3, 301)])
+    pos, neg = kernel.sqrt_f_spectrum(om), kernel.sqrt_f_spectrum(-om)
+    assert neg.tobytes() == np.conj(pos).tobytes()
+    for w in om[:6].tolist():
+        assert (np.array(kernel.sqrt_f_spectrum(-w)).tobytes()
+                == np.conj(kernel.sqrt_f_spectrum(w)).tobytes())
+    zeros = kernel.sqrt_f_spectrum(np.array([0.0, -0.0]))
+    assert zeros[1:].tobytes() == zeros[:1].tobytes() == np.array(
+        kernel.sqrt_f_spectrum(-0.0)).tobytes()
+
+
 def test_spectrum_vectorized_matches_scalar():
     om = np.array([-3.0, 0.0, 0.7, 26.0])
     vec = STD.sqrt_f_spectrum(om)

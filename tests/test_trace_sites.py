@@ -7,7 +7,6 @@ metrics silently empty."""
 import importlib
 import importlib.util
 import inspect
-import weakref
 from pathlib import Path
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -83,7 +82,8 @@ def test_runners_call_the_engine_through_the_sweep_module(monkeypatch):
                      "qbarrier.sweep.transmission_prob": 3}
 
 
-def test_engine_reaches_its_inner_sites_through_their_modules(monkeypatch):
+def test_engine_reaches_its_inner_sites_through_their_modules(monkeypatch,
+                                                              fresh_tables):
     # the same for the sites inside the engine: the barrier amplitudes as
     # damped and traversal look them up, the height sweep, the kernel's
     # methods and the quadrature.  One damped call of each traced kind
@@ -92,7 +92,6 @@ def test_engine_reaches_its_inner_sites_through_their_modules(monkeypatch):
     from qbarrier import damped, traversal
     from qbarrier.kernel import DampingKernel
 
-    monkeypatch.setattr(damped, "_RESIDUAL_TABLES", weakref.WeakKeyDictionary())
     inner = [(module, attr) for module, attr, *_ in _sites()
              if module != "qbarrier.sweep"]
     inner.append(("qbarrier.damped", "integrate_adaptive"))

@@ -29,14 +29,15 @@ error bound.  The clean limit gamma = 0 short-circuits to the bare
 amplitude exactly.
 
 A weak table per kernel, shared by equal kernels, keeps the ladder, each
-tol's window and the residual interpolant both damped routes read:
+tol's window and the residual interpolant that w_D's window probe, its
+integrand and the height sweep all read through ``_residual``:
 ``_CHEB_POINTS`` second-kind Chebyshev points on each panel [0, s0],
 [s0, 2 s0], ..., up to the one holding 40 sigma, all made with the
-kernel's entry in one spectrum call, within 1.75e-15 |gtilde| of a direct
-call at eight kernels of the rate box.  From 40 sigma on, where the
-spectrum is its large-omega series, the residual is that series less the
-ladder, with the bits of a direct call (weak damping: 8 panels).  w_D's
-error carries that share.
+kernel's entry in one spectrum call, the kernel's only one, within
+1.75e-15 |gtilde| of a direct call at eight kernels of the rate box.
+From 40 sigma on, where the spectrum is its large-omega series, the
+residual is that series less the ladder, with the bits of a direct call
+(weak damping: 8 panels).  w_D's error carries that share.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .barrier import (amplitude_w, amplitude_w_complex_height,
                       check_height_shift)
 from .errors import (DegenerateKernelError, DomainError, NonConvergenceError,
                      WindowError)
-from .kernel import _SERIES_SIGMAS, DampingKernel, _real
+from .kernel import _SERIES_SIGMAS, DampingKernel
 from .quadrature import integrate_adaptive
 
 _LADDER_ORDER = 4
@@ -75,10 +76,13 @@ class SubtractionLadder:
     mismatch: float  # of the first unmatched derivative, the residual scale
 
     def spectrum(self, omega) -> np.ndarray:
-        """Transform of the ladder, ``sum_j a_j / (s_j + i omega)``."""
-        terms = self.weights / (self.rates + 1j * np.asarray(omega)[..., None])
-        # from +0 in rate order, as a loop over the rungs adds them
-        return sum(terms.T, 0j).T
+        """Transform of the ladder, ``sum_j a_j / (s_j + i omega)``, added
+        rung by rung from +0 in rate order."""
+        i_omega = 1j * np.asarray(omega)
+        out = np.zeros(i_omega.shape, dtype=complex)
+        for a, s in zip(self.weights, self.rates):
+            out += a / (s + i_omega)
+        return out
 
 
 def subtraction_ladder(kernel: DampingKernel) -> SubtractionLadder:
@@ -121,17 +125,9 @@ def _table(kernel: DampingKernel) -> list:
     return entry
 
 
-def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
-    """Kernel spectrum less its ladder's, decaying like omega^-5; made at
-    |omega| and conjugated for omega < 0, so -0 mirrors a cancelled +0."""
-    flat = _real(omega, "spectral frequencies")
-    x = np.abs(flat)
-    out = np.asarray(kernel.sqrt_f_spectrum(x) - _table(kernel)[0].spectrum(x))
-    return np.conjugate(out, out=out, where=flat < 0.0)[()]
-
-
 def _residual(kernel: DampingKernel, omega) -> np.ndarray:
-    """``residual_spectrum`` at real ``omega``, conjugated for omega < 0:
+    """Kernel spectrum less its ladder's at real ``omega``, decaying like
+    omega^-5, made at |omega| and conjugated for omega < 0:
     ``_interpolated`` below ``_SERIES_SIGMAS`` sigma, from there on the
     series less the ladder, with the bits of a direct call."""
     entry, flat = _table(kernel), np.asarray(omega, dtype=float).ravel()
@@ -216,7 +212,7 @@ def amplitude_w_D(epsilon: float, width: float, kernel: DampingKernel, *,
         cutoff = max(32.0, 8.0 * float(ladder.rates[-1]))
         for _ in range(60):
             edges = cutoff * np.array([0.8, 0.9, 1.0])  # |g| is even in omega
-            g_edges = residual_spectrum(kernel, edges)
+            g_edges = _residual(kernel, edges)
             empirical = float(np.max(np.abs(g_edges) * np.abs(edges) ** 5))
             scale = max(ladder.mismatch, 2.0 * empirical)
             tail = scale / (4.0 * math.pi * cutoff ** 4)

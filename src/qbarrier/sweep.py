@@ -141,8 +141,9 @@ def run_cumulative(width: float, epsilon: float, taus: np.ndarray, gammas,
 
     Every column sits on one omega grid, so the columns share bare samples
     and trig tables through ``shared``, emptied on return.  The damped
-    columns run first, so the clean one finds their samples and no trig
-    table is held through a damped sweep."""
+    columns run first, so the clean one finds their samples and the first
+    damped sweep holds no trig table; a later damped sweep holds the one
+    its predecessor left."""
     gammas = _with_baseline(gammas)
     labels = [gamma_label(g) for g in gammas]
     taus = np.asarray(taus, dtype=float)
@@ -266,4 +267,6 @@ def format_json(result: SweepResult, *, timestamp: bool = True) -> str:
         },
         "version": __version__,
     }
+    if result.low_significance:
+        payload["low_significance"] = dict(result.low_significance)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

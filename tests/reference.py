@@ -3,7 +3,8 @@ r"""Independent cross-check routes, kept apart from the engines.
 Each function re-derives, by different algebra, a quantity the engines
 compute: the clean amplitude ``w`` as a reflection series and as an
 assembly of hard-wall propagators, the kernel ``f(t)`` from the
-influence coefficients, ``sqrt(f)`` as its exponential series, and the
+influence coefficients, ``sqrt(f)`` as its exponential series, the
+residual spectrum as a direct sum at every frequency, and the
 cumulative amplitude ``C_D`` as an endpoint-corrected trapezoid sum with
 one sine per node.
 The package ships only what its runs use, so these routes live with
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qbarrier.barrier import _check_inputs
-from qbarrier.damped import amplitude_w_D_height_sweep
+from qbarrier.damped import amplitude_w_D_height_sweep, subtraction_ladder
 from qbarrier.errors import (DegenerateKernelError, DomainError,
                              NonConvergenceError)
 from qbarrier.kernel import DampingKernel, _central_binomials
@@ -272,6 +273,17 @@ def sqrt_f_series(kernel: DampingKernel, t, n_terms: int):
     acc = np.sqrt(2.0 * kernel.sigma * t) * (
         amps * np.exp(-np.multiply.outer(t, rates))).sum(axis=-1)
     return float(acc) if acc.ndim == 0 else acc
+
+
+def residual_spectrum(kernel: DampingKernel, omega) -> np.ndarray:
+    """Kernel spectrum less its ladder's by direct sums at every frequency,
+    the reference for the residual interpolant; made at |omega| and
+    conjugated for omega < 0, so -0 mirrors a cancelled +0."""
+    flat = np.asarray(omega, dtype=float)
+    x = np.abs(flat)
+    out = np.asarray(kernel.sqrt_f_spectrum(x)
+                     - subtraction_ladder(kernel).spectrum(x))
+    return np.conjugate(out, out=out, where=flat < 0.0)[()]
 
 
 # -- cumulative amplitude -----------------------------------------------------

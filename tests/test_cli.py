@@ -4,6 +4,7 @@ schemas, exit codes, byte-for-byte determinism, and a lean import path."""
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -15,13 +16,18 @@ import pytest
 
 import qbarrier
 from qbarrier import quadrature, sweep
-from qbarrier.barrier import transmission_prob
+from qbarrier.barrier import (amplitude_w, amplitude_w_complex_height,
+                              transmission_prob)
 from qbarrier.cli import main
-from qbarrier.errors import DomainError, NonConvergenceError, WindowError
+from qbarrier.errors import (DegenerateSuppressionError, DomainError,
+                             NonConvergenceError, WindowError)
+from qbarrier.kernel import DampingKernel
 from qbarrier.sweep import (format_csv, format_json, gamma_label,
                             run_cumulative, run_distribution,
                             run_mean_deviation, run_resonances,
                             run_transmission)
+from qbarrier.traversal import cumulative_amplitude
+from qbarrier.units import resonance_energies
 
 
 def test_gamma_label_format():
@@ -183,6 +189,46 @@ def test_format_json_schema():
     assert doc["params"]["quantity"] == "transmission"
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: amplitude_w(1.3, 0.0), DomainError,
+     "width must be positive, got 0.0"),
+    (lambda: amplitude_w(1.3, math.nan), DomainError,
+     "width must be positive, got nan"),
+    (lambda: amplitude_w_complex_height(1.3, -1.0, 0.5), DomainError,
+     "width must be positive, got -1.0"),
+    (lambda: amplitude_w(0.0, 5.0), DomainError,
+     "epsilon must be positive everywhere"),
+    (lambda: amplitude_w([1.2, math.nan], 5.0), DomainError,
+     "epsilon must be positive everywhere"),
+    (lambda: transmission_prob(-1.0, 5.0), DomainError,
+     "epsilon must be positive everywhere"),
+    (lambda: resonance_energies(0.0, 4), DomainError,
+     "width must be positive, got 0.0"),
+    (lambda: resonance_energies(5.0, 0), DomainError,
+     "count must be at least 1, got 0"),
+    (lambda: run_distribution(5.0, 1.3, 2.0, 1.0, 10, [], 100.0),
+     DomainError, "need 0 <= tau_lo < tau_hi"),
+    (lambda: DampingKernel(5e-3, 100.0).taylor_sqrt_f(11), DomainError,
+     "order out of range, got 11"),
+    (lambda: DampingKernel(5e-3, 100.0).taylor_sqrt_f(-1), DomainError,
+     "order out of range, got -1"),
+    (lambda: cumulative_amplitude(0.01, 600.0, DampingKernel(0.0, 100.0),
+                                  [0.0, 1.0]),
+     DegenerateSuppressionError,
+     "suppressed amplitude vanished; cumulative undefined"),
+], ids=["w-zero-width", "w-nan-width", "complex-height-negative-width",
+        "w-zero-epsilon", "w-nan-epsilon", "probability-negative-epsilon",
+        "resonances-zero-width", "resonances-zero-count",
+        "distribution-reversed-range", "taylor-order-11", "taylor-order-minus-1",
+        "cumulative-vanishing-H0"])
+def test_library_refuses_what_the_command_line_stops_first(call, error,
+                                                           message):
+    # the command line stops these inputs in argparse, so only a library
+    # call reaches the checks; each raises its typed error with its message
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # -- command line ---------------------------------------------------------
 
 def test_cli_resonances_json(capsys):
@@ -310,6 +356,20 @@ def test_cli_flags_damped_cells_with_no_significant_digits(capsys):
         flagged.append([ln for ln in capsys.readouterr().out.splitlines()
                         if ln.startswith("# low_significance")])
     assert flagged == [["# low_significance_g0.05=2"], []]
+
+
+def test_cli_json_carries_the_low_significance_count(capsys):
+    # JSON carries the header's count as "low_significance": {column: N},
+    # and only where some column has one, so other documents keep their keys
+    argv = ["transmission", "--epsilon-range", "1.3:1.4:2", "--gamma-star",
+            "0.05", "--omega-star", "1000", "--format", "json",
+            "--no-timestamp"]
+    docs = []
+    for width in ("20", "5"):
+        assert main(argv + ["--d-over-lambda0", width]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0]["low_significance"] == {"g0.05": 2}
+    assert "low_significance" not in docs[1]
 
 
 def test_cli_refuses_a_cumulative_curve_its_residual_clamp_leaves_wrong(
